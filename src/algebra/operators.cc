@@ -452,8 +452,8 @@ AggregationType ResultBottomAggType(const MdObject& mo,
 /// Per fact and dimension: the grouping-category values characterizing
 /// the fact, with lifespans and probabilities. `dense` is the value's
 /// dense id in the dimension's rollup snapshot, set on the indexed path
-/// only — the dense group-by kernel turns it into a slot digit with one
-/// array read.
+/// only — the group-by core's dense engine turns it into a slot digit
+/// with one array read.
 struct Coordinate {
   ValueId value;
   /// nullopt means AlwaysSpan — the attachment of nontemporal data. The
@@ -473,21 +473,6 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
   return life;
 }
 
-/// The fact's coordinates in every grouping category, or nullopt when
-/// some dimension has none (the fact then joins no group). Read-only on
-/// the MO (given warmed closure memos), so facts fan out in parallel.
-///
-/// `indexes` (empty, or one slot per dimension) carries compiled rollup
-/// snapshots whose flat table replaces the full characterization scan:
-/// per relation entry, the unique ancestor at the grouping category is
-/// one array lookup. Under the snapshot's gate every closure lifespan is
-/// Always, so the coordinate lifespan is the entry lifespan and the
-/// probability the entry probability times the closure probability —
-/// accumulated per coordinate value in entry order with the same
-/// union/noisy-or CharacterizedBy applies, and emitted in ascending
-/// ValueId order like the filtered characterization list. The two paths
-/// are therefore bit-identical; dimensions without a usable snapshot
-/// take the memoized path.
 /// Per-dimension entry spans aligned to the MO's sorted fact vector:
 /// `[i][f]` is relation i's entry-index run for facts[f] (empty when the
 /// fact has no pairs there). Built once per run by sweeping each
@@ -499,7 +484,7 @@ using FactEntryLists = std::vector<std::vector<FactDimRelation::EntrySpan>>;
 /// Builds the per-fact entry lists for the `wanted` dimensions: one
 /// lockstep walk of each relation's by-fact tree against the MO's sorted
 /// fact vector replaces one tree lookup per (fact, dimension) in the hot
-/// loops. Shared by AggregateFormation and AggregateStream.
+/// loops of the group-by core.
 FactEntryLists BuildFactEntryLists(const MdObject& mo,
                                    const std::vector<bool>& wanted) {
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
@@ -531,13 +516,22 @@ using CoordList = ArenaVec<Coordinate>;
 using CoordLists = ArenaVec<CoordList>;
 
 /// The shared per-dimension coordinate body of GroupingCoordinates and
-/// the streaming scan: appends `fact`'s coordinates in `category` of
-/// dimension `i` to `list`. With a compiled `index` the list is
-/// accumulated per value in entry order and kept sorted by ValueId (a
-/// linear insertion — coordinate lists are tiny), so emission matches the
-/// ordered map this replaced without its node churn; without one the
-/// memoized characterization scan runs unchanged. `span`, when non-null,
-/// is the fact's precomputed CSR entry run (indexed path only).
+/// the group-by core: appends `fact`'s coordinates in `category` of
+/// dimension `i` to `list`. Read-only on the MO (given warmed closure
+/// memos), so facts fan out in parallel.
+///
+/// With a compiled `index` the flat table replaces the full
+/// characterization scan: per relation entry, the unique ancestor at the
+/// grouping category is one array lookup. Under the snapshot's gate every
+/// closure lifespan is Always, so the coordinate lifespan is the entry
+/// lifespan and the probability the entry probability times the closure
+/// probability — accumulated per coordinate value in entry order with the
+/// same union/noisy-or CharacterizedBy applies, and kept sorted by
+/// ValueId (a linear insertion — coordinate lists are tiny) like the
+/// filtered characterization list. The two paths are therefore
+/// bit-identical; without an index the memoized characterization scan
+/// runs. `span`, when non-null, is the fact's precomputed CSR entry run
+/// (indexed path only).
 void AppendDimCoordinates(const MdObject& mo, std::size_t i,
                           CategoryTypeIndex category, Chronon prob_at,
                           const RollupIndex* index, FactId fact,
@@ -584,11 +578,16 @@ void AppendDimCoordinates(const MdObject& mo, std::size_t i,
   }
 }
 
+/// The fact's coordinates in every grouping category — top-grouped
+/// dimensions included, as the one top coordinate — or nullopt when some
+/// dimension has none (the fact then joins no group): the input of the
+/// ordered-map baseline and of FoldAggregateAppend's delta scan.
+/// `indexes` (empty, or one slot per dimension) carries compiled rollup
+/// snapshots for AppendDimCoordinates.
 std::optional<CoordLists> GroupingCoordinates(
     const MdObject& mo, const AggregateSpec& spec, FactId fact,
     const std::vector<std::shared_ptr<const RollupIndex>>& indexes,
-    Arena* arena, const FactEntryLists* fact_entries = nullptr,
-    std::size_t fact_ordinal = 0) {
+    Arena* arena) {
   const std::size_t n = mo.dimension_count();
   CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
   per_dim.reserve(n);
@@ -604,12 +603,8 @@ std::optional<CoordLists> GroupingCoordinates(
     }
     const RollupIndex* index =
         i < indexes.size() ? indexes[i].get() : nullptr;
-    const FactDimRelation::EntrySpan* span =
-        (index != nullptr && fact_entries != nullptr)
-            ? &(*fact_entries)[i][fact_ordinal]
-            : nullptr;
     AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index, fact,
-                         span, per_dim[i]);
+                         nullptr, per_dim[i]);
     if (per_dim[i].empty()) return std::nullopt;
   }
   return per_dim;
@@ -619,14 +614,6 @@ std::optional<CoordLists> GroupingCoordinates(
 /// intersection over members of their characterization spans;
 /// probabilities multiply over members.
 struct GroupAccum {
-  GroupAccum() = default;
-  /// Kernel-path construction: the growable per-member lists live in the
-  /// owning partition's arena (the default heap vectors remain for the
-  /// ordered-map baseline).
-  explicit GroupAccum(Arena* arena)
-      : members(ArenaAllocator<FactId>(arena)),
-        member_probs(ArenaAllocator<double>(arena)) {}
-
   ArenaVec<FactId> members;
   std::vector<Lifespan> life_per_dim;
   std::vector<double> prob_per_dim;
@@ -641,9 +628,9 @@ using GroupMap = std::map<GroupKey, GroupAccum>;
 
 /// Folds one fact's coordinate cross product into `groups` — the
 /// ordered-map baseline engine, kept byte-for-byte as the no-context
-/// ground truth the kernels are differentially tested against. Per-group
-/// accumulation order is facts ascending, the order the kernels follow
-/// too.
+/// ground truth the group-by core is differentially tested against, and
+/// the accumulation FoldAggregateAppend resumes. Per-group accumulation
+/// order is facts ascending, the order the core follows too.
 void AccumulateFact(std::size_t n, FactId fact, const CoordLists& per_dim,
                     GroupMap& groups) {
   // Enumerate the cross product of this fact's coordinate lists.
@@ -731,19 +718,11 @@ Result<GroupEval> EvaluateGroup(const MdObject& mo, const AggregateSpec& spec,
   return eval;
 }
 
-// ---- Group-by kernels ------------------------------------------------------
+// ---- The group-by core -----------------------------------------------------
 
-/// Which engine builds the groups (docs/groupby_kernel.md). Callers
-/// without an execution context keep the ordered-map engine as the
-/// differential baseline; a context engages the dense-slot kernel when
-/// every grouping dimension is covered by a flat rollup table (or grouped
-/// at top) and the slot cross-product fits the context's threshold, and
-/// the open-addressing flat-hash kernel otherwise.
-enum class GroupEngine { kOrderedMap, kDenseSlots, kFlatHash };
-
-/// Per-fact aggregate input on the kernel paths, computed once per fact
-/// (riding the coordinate pass's fan-out) and folded into every group the
-/// fact joins, in member order — the same per-member entry scan
+/// Per-fact aggregate input of one accumulator class, computed once per
+/// fact (riding the coordinate pass's fan-out) and folded into every group
+/// the fact joins, in member order — the same per-member entry scan
 /// AggFunction::Evaluate and EvaluateGroup perform per group.
 struct FactContribution {
   FactContribution() = default;
@@ -753,12 +732,11 @@ struct FactContribution {
   /// Known (non-top) numeric entry values of the argument dimension, in
   /// relation scan order; empty for COUNT, which never reads values.
   ArenaVec<double> values;
-  /// Known pairs, for COUNT.
+  /// Known pairs, for COUNT (0 for every other function).
   std::size_t counted = 0;
-  /// First NumericValueOf failure, sticky — a group inheriting it reports
-  /// it exactly as Evaluate would.
+  /// First NumericValueOf failure (OK when none), sticky — a group
+  /// inheriting it reports it exactly as Evaluate would.
   Status error;
-  bool failed = false;
   /// Section 4.2 member time: intersection over g's argument dimensions
   /// of the union of the member's entry spans. nullopt means AlwaysSpan,
   /// so nontemporal facts carry no interval vectors at all.
@@ -771,14 +749,18 @@ struct FactContribution {
 /// of representation lookups and strtod per entry.
 using NumericValueCache = std::unordered_map<std::uint64_t, Result<double>>;
 
-FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
+/// `fact`'s contribution to `function`, whose argument dimension (if any)
+/// must be in range. `fact_entries` (null: per-fact lookups) holds the
+/// fact's entry runs at `fact_ordinal`; `numeric_values` (null: parse per
+/// entry) the hoisted numeric interpretations.
+FactContribution ContributionOf(const MdObject& mo,
+                                const AggFunction& function, Chronon prob_at,
                                 FactId fact,
                                 const FactEntryLists* fact_entries,
                                 std::size_t fact_ordinal,
                                 const NumericValueCache* numeric_values,
                                 Arena* arena) {
   FactContribution c(arena);
-  const AggregateFunctionKind kind = spec.function.kind();
   const auto entry_list = [&](std::size_t dim) -> FactDimRelation::EntrySpan {
     if (fact_entries == nullptr) {
       return FactDimRelation::EntrySpan::Of(
@@ -786,7 +768,7 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
     }
     return (*fact_entries)[dim][fact_ordinal];
   };
-  for (std::size_t dim : spec.function.args()) {
+  for (std::size_t dim : function.args()) {
     if (dim >= mo.dimension_count()) continue;
     const FactDimRelation& relation = mo.relation(dim);
     const FactDimRelation::EntrySpan list = entry_list(dim);
@@ -811,14 +793,14 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
     c.arg_life = c.arg_life.has_value() ? c.arg_life->Intersect(member)
                                         : std::move(member);
   }
-  if (spec.function.args().empty()) return c;
-  const std::size_t dim = spec.function.args().front();
+  if (function.args().empty()) return c;
+  const std::size_t dim = function.args().front();
   const Dimension& dimension = mo.dimension(dim);
   const FactDimRelation& relation = mo.relation(dim);
   for (std::size_t e : entry_list(dim)) {
     const FactDimRelation::Entry& entry = relation.entries()[e];
     if (entry.value == dimension.top_value()) continue;  // unknown
-    if (kind == AggregateFunctionKind::kCount) {
+    if (function.kind() == AggregateFunctionKind::kCount) {
       ++c.counted;
       continue;
     }
@@ -827,10 +809,9 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
         auto it = numeric_values->find(entry.value.raw());
         if (it != numeric_values->end()) return it->second;
       }
-      return dimension.NumericValueOf(entry.value, spec.prob_at);
+      return dimension.NumericValueOf(entry.value, prob_at);
     }();
     if (!value.ok()) {
-      c.failed = true;
       c.error = value.status();
       break;  // Evaluate stops at the first failing entry
     }
@@ -839,124 +820,286 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
   return c;
 }
 
-/// One group under construction on a kernel path: the baseline
-/// accumulator plus the streaming aggregate state EvaluateGroup would
-/// otherwise recompute from the member list.
-struct KernelGroup {
-  KernelGroup() = default;
-  explicit KernelGroup(Arena* arena) : base(arena) {}
-
-  GroupAccum base;
-  AggFunction::Accumulator agg;
-  double expected = 0.0;
-  Lifespan result_life = Lifespan::AlwaysSpan();
-  Status error;
-  bool failed = false;
+/// The planned group-by over one grouping (docs/groupby_kernel.md): the
+/// live (non-top-grouped) axes, their compiled rollup snapshots and the
+/// dense slot space when every live axis has a flat table. A top-grouped
+/// dimension contributes one fixed coordinate with probability 1 to every
+/// fact, so it never becomes an axis — keys carry live axes only.
+struct GroupPlan {
+  std::vector<CategoryTypeIndex> grouping;
+  /// Live dimension indexes, ascending.
+  std::vector<std::size_t> live;
+  /// Per dimension: the snapshot whose flat table is usable, else null.
+  std::vector<std::shared_ptr<const RollupIndex>> indexes;
+  /// kNotIndexed when some live axis has no flat table.
+  DenseSlotSpace::Plan verdict = DenseSlotSpace::Plan::kNotIndexed;
+  /// Filled under kDense.
+  DenseSlotSpace space;
 };
 
-/// Per-worker state of a kernel run. The dense engine owns a contiguous
-/// slot range: group_of_slot is the range-local slot -> group indirection
-/// (4 bytes per owned slot, not a per-slot accumulator, so untouched
-/// slots cost only the sentinel), groups fill in touch order and sort by
-/// slot at the merge. The flat-hash engine interns keys into one
-/// fixed-stride buffer probed through the open-addressing index.
-struct KernelPartition {
-  /// All growable partition state bumps the partition's own arena (each
-  /// partition is scanned by exactly one task, so arenas never race);
-  /// only the open-addressing index keeps heap storage, whose rehashes
-  /// are logarithmic in the group count.
-  explicit KernelPartition(Arena* a)
-      : arena(a),
-        group_of_slot(ArenaAllocator<std::uint32_t>(a)),
+/// The one planning step of every group-by. A dimension whose snapshot
+/// fails the strictness/non-temporal gate keeps the memoized traversal —
+/// results are bit-identical either way, only the walk differs. `stats`
+/// (null for EXPLAIN, which must not perturb counters) counts index
+/// builds, hits and fallbacks.
+GroupPlan PlanGroupBy(const MdObject& mo,
+                      const std::vector<CategoryTypeIndex>& grouping,
+                      std::uint64_t max_slots, ExecStats* stats) {
+  const std::size_t n = mo.dimension_count();
+  GroupPlan plan;
+  plan.grouping = grouping;
+  plan.indexes.resize(n);
+  std::vector<DenseSlotSpace::GroupingDim> axes;
+  bool all_indexed = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (grouping[i] == mo.dimension(i).type().top()) continue;
+    plan.live.push_back(i);
+    std::shared_ptr<const RollupIndex> index =
+        RollupIndex::For(mo.dimension(i), stats);
+    if (index->has_flat_table()) {
+      axes.push_back({index.get(), grouping[i]});
+      plan.indexes[i] = std::move(index);
+      if (stats != nullptr) ++stats->index_hits;
+    } else {
+      all_indexed = false;
+      if (stats != nullptr) ++stats->index_fallbacks;
+    }
+  }
+  if (all_indexed) {
+    plan.verdict = DenseSlotSpace::Build(axes, max_slots, &plan.space);
+  }
+  return plan;
+}
+
+/// What one core scan folds. Each class is the exemplar of the functions
+/// sharing an argument dimension (in range) and pair-vs-value reading: the
+/// Accumulator keeps count/sum/min/max regardless of which Finish reads
+/// it, so one accumulator per class is exactly what running each function
+/// alone builds.
+struct ScanRequest {
+  Chronon prob_at = kNowChronon;
+  /// Optional fact filter aligned with mo.facts().
+  const std::vector<bool>* keep = nullptr;
+  std::vector<AggFunction> classes;
+  /// Also record the state only AggregateFormation renders: per-axis
+  /// lifespans and probabilities, expected counts and the Section 4.2
+  /// result lifespans.
+  bool rendered = false;
+  /// Requires an ExecContext; the caller has applied the Section 3.4 gate.
+  bool parallel = false;
+};
+
+/// The core's output, in canonical group order (ascending lexicographic
+/// live key). Every group carries its key and ascending member list;
+/// per-group arrays below are indexed [group] or, with a stride,
+/// [group * stride + column].
+struct GroupScan {
+  /// Key and member_facts filled; values left to the caller.
+  std::vector<StreamGroup> groups;
+  /// Stride = class count: each class's accumulator and its sticky first
+  /// contribution failure (OK when none).
+  std::vector<AggFunction::Accumulator> accums;
+  std::vector<Status> errors;
+  /// Rendered scans only. Stride = live-axis count: the intersection over
+  /// members of their coordinate lifespans, and the product of their
+  /// coordinate probabilities.
+  std::vector<Lifespan> life_per_axis;
+  std::vector<double> prob_per_axis;
+  /// Rendered scans only, one per group: the sum over members of their
+  /// membership probability, and the intersection over members of every
+  /// class's argument-dimension time.
+  std::vector<double> expected;
+  std::vector<Lifespan> result_life;
+};
+
+/// Per-worker state of a scan. The dense engine owns a contiguous slot
+/// range: group_of_slot is the range-local slot -> group indirection
+/// (4 bytes per owned slot, so untouched slots cost only the sentinel);
+/// the flat-hash engine interns keys into one fixed-stride buffer probed
+/// through the open-addressing index. Group state lives in flat strided
+/// arrays, all bumping the partition's own arena (each partition is
+/// scanned by exactly one task, so arenas never race).
+struct ScanPartition {
+  explicit ScanPartition(Arena* a)
+      : group_of_slot(ArenaAllocator<std::uint32_t>(a)),
         slot_of_group(ArenaAllocator<std::uint64_t>(a)),
         key_storage(ArenaAllocator<ValueId>(a)),
-        groups(ArenaAllocator<KernelGroup>(a)) {}
+        member_count(ArenaAllocator<std::size_t>(a)),
+        inc_group(ArenaAllocator<std::uint32_t>(a)),
+        inc_fact(ArenaAllocator<FactId>(a)),
+        accums(ArenaAllocator<AggFunction::Accumulator>(a)),
+        life_per_axis(ArenaAllocator<Lifespan>(a)),
+        prob_per_axis(ArenaAllocator<double>(a)),
+        expected(ArenaAllocator<double>(a)),
+        result_life(ArenaAllocator<Lifespan>(a)) {}
+
+  /// Appends one empty group and returns its ordinal.
+  std::uint32_t AddGroup(std::size_t axes, std::size_t classes,
+                         bool rendered) {
+    const auto g = static_cast<std::uint32_t>(member_count.size());
+    member_count.push_back(0);
+    accums.resize(accums.size() + classes);
+    errors.resize(errors.size() + classes);
+    if (rendered) {
+      life_per_axis.resize(life_per_axis.size() + axes,
+                           Lifespan::AlwaysSpan());
+      prob_per_axis.resize(prob_per_axis.size() + axes, 1.0);
+      expected.push_back(0.0);
+      result_life.push_back(Lifespan::AlwaysSpan());
+    }
+    return g;
+  }
 
   std::uint64_t slot_begin = 0;
   std::uint64_t slot_end = 0;
-  Arena* arena = nullptr;
   ArenaVec<std::uint32_t> group_of_slot;
   ArenaVec<std::uint64_t> slot_of_group;
   FlatHashGroupIndex index;
-  ArenaVec<ValueId> key_storage;  // stride n
-  ArenaVec<KernelGroup> groups;
+  ArenaVec<ValueId> key_storage;  // stride = axes
+  ArenaVec<std::size_t> member_count;
+  /// Membership incidences in scan order (ascending fact within each
+  /// group, since the scan walks facts ascending), scattered into
+  /// per-group lists at emission.
+  ArenaVec<std::uint32_t> inc_group;
+  ArenaVec<FactId> inc_fact;
+  ArenaVec<AggFunction::Accumulator> accums;  // stride = classes
+  std::vector<Status> errors;                 // stride = classes
+  ArenaVec<Lifespan> life_per_axis;           // stride = axes
+  ArenaVec<double> prob_per_axis;             // stride = axes
+  ArenaVec<double> expected;
+  ArenaVec<Lifespan> result_life;
 };
 
-/// The dense-slot and flat-hash group-by engines. Both accumulate group
-/// state per fact — members ascending, the same order the baseline builds
-/// groups in — and emit groups in canonical lexicographic key order
-/// (ascending slots ARE that order; flat-hash keys get one final sort),
-/// so the output bytes match the ordered map at any thread count. On the
-/// parallel path the dense engine partitions the slot space into
-/// contiguous ranges and the flat-hash engine partitions keys by hash;
-/// either way every worker scans all facts and accumulates only the
-/// groups it owns, so each group is built whole by one worker.
-Status RunGroupByKernel(
-    const MdObject& mo, const AggregateSpec& spec, GroupEngine engine,
-    const DenseSlotSpace& space,
-    const std::vector<std::optional<CoordLists>>& coords,
-    const FactEntryLists* fact_entries, bool parallel, ExecContext* exec,
-    std::vector<GroupKey>& keys, std::vector<GroupAccum>& accums,
-    std::vector<GroupEval>& evals) {
+/// The one partitioned group-by scan behind AggregateFormation and
+/// AggregateStream. Builds the per-fact entry lists, the live coordinates
+/// of every kept fact and the per-class contributions (in parallel chunks
+/// when asked), then runs the dense-slot or flat-hash engine the plan
+/// chose. Every group accumulates per fact — members ascending, the order
+/// the ordered-map baseline builds groups in — and groups emit in
+/// canonical key order (ascending slots ARE that order; flat-hash keys
+/// get one final sort), so the output matches the baseline at any thread
+/// count. On the parallel path the dense engine partitions the slot space
+/// into contiguous ranges and the flat-hash engine partitions keys by
+/// hash; every worker scans all facts and accumulates only the groups it
+/// owns, so each group is built whole by one worker.
+GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
+                     const ScanRequest& request, ExecContext* exec) {
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
-  const std::size_t n = mo.dimension_count();
-  const AggregateFunctionKind kind = spec.function.kind();
-  const bool needs_data = !spec.function.args().empty();
-  const bool bad_dim = needs_data && spec.function.args().front() >= n;
-
-  // Per-fact aggregate inputs, computed once up front (pure reads on the
-  // MO, so they fan out like the coordinate pass). Numeric parsing is
-  // hoisted into a per-distinct-value cache first — sequentially, since
-  // NumericValueOf reads lazily memoized dimension state.
-  NumericValueCache numeric_values;
-  const NumericValueCache* numeric_values_ptr = nullptr;
-  if (needs_data && !bad_dim && kind != AggregateFunctionKind::kCount) {
-    const std::size_t dim = spec.function.args().front();
-    const Dimension& dimension = mo.dimension(dim);
-    for (const FactDimRelation::Entry& entry : mo.relation(dim).entries()) {
-      if (entry.value == dimension.top_value()) continue;
-      const std::uint64_t raw = entry.value.raw();
-      if (numeric_values.find(raw) != numeric_values.end()) continue;
-      numeric_values.emplace(raw,
-                             dimension.NumericValueOf(entry.value,
-                                                      spec.prob_at));
+  const std::vector<std::size_t>& live = plan.live;
+  const std::size_t nl = live.size();
+  const std::size_t nclasses = request.classes.size();
+  const bool parallel = request.parallel;
+  const bool rendered = request.rendered;
+  const bool dense = plan.verdict == DenseSlotSpace::Plan::kDense;
+  if (exec != nullptr) {
+    if (plan.verdict == DenseSlotSpace::Plan::kTooManySlots) {
+      ++exec->stats.dense_slot_fallbacks;
     }
-    numeric_values_ptr = &numeric_values;
+    ++(dense ? exec->stats.dense_groupby_runs : exec->stats.flat_hash_runs);
   }
-  std::vector<FactContribution> contributions;
-  if (needs_data && !bad_dim) {
-    contributions.resize(facts.size());
-    auto fill_chunk = [&](std::size_t begin, std::size_t end, Arena* arena) {
+  Arena* coordinator = exec != nullptr ? &exec->arena : nullptr;
+
+  // Runs body(begin, end, arena) over the fact range: in chunks on the
+  // pool, each with its own worker arena, on the parallel path.
+  const auto for_fact_chunks = [&](const auto& body) {
+    if (!parallel) {
+      body(std::size_t{0}, facts.size(), coordinator);
+      return;
+    }
+    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
+    exec->EnsureWorkerArenas(chunks);
+    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
+      body(chunk * facts.size() / chunks, (chunk + 1) * facts.size() / chunks,
+           &exec->worker_arena(chunk));
+    });
+    exec->stats.tasks += chunks;
+  };
+
+  // 1. Per-fact entry lists for the indexed live axes and the classes'
+  //    argument dimensions: one lockstep walk of each relation's by-fact
+  //    view against the sorted fact vector replaces one lookup per (fact,
+  //    dimension) below.
+  std::vector<bool> wanted(mo.dimension_count(), false);
+  for (std::size_t i : live) wanted[i] = plan.indexes[i] != nullptr;
+  for (const AggFunction& function : request.classes) {
+    wanted[function.args().front()] = true;
+  }
+  const FactEntryLists fact_entries = BuildFactEntryLists(mo, wanted);
+
+  // 2. Live coordinates per kept fact, in fact order. A fact with an
+  //    empty list on some axis joins no group, and a false keep entry is
+  //    skipped outright — selection pushdown without the materialized
+  //    Select. Closure memos are warmed first so workers only read.
+  if (parallel) {
+    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
+  }
+  std::vector<std::optional<CoordLists>> coords(facts.size());
+  const auto live_coords = [&](std::size_t f,
+                               Arena* arena) -> std::optional<CoordLists> {
+    CoordLists per_axis{ArenaAllocator<CoordList>(arena)};
+    per_axis.reserve(nl);
+    for (std::size_t j = 0; j < nl; ++j) {
+      per_axis.emplace_back(ArenaAllocator<Coordinate>(arena));
+    }
+    for (std::size_t j = 0; j < nl; ++j) {
+      const std::size_t i = live[j];
+      const RollupIndex* index = plan.indexes[i].get();
+      AppendDimCoordinates(mo, i, plan.grouping[i], request.prob_at, index,
+                           facts[f],
+                           index != nullptr ? &fact_entries[i][f] : nullptr,
+                           per_axis[j]);
+      if (per_axis[j].empty()) return std::nullopt;
+    }
+    return per_axis;
+  };
+  for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
+    for (std::size_t f = begin; f < end; ++f) {
+      if (request.keep == nullptr || (*request.keep)[f]) {
+        coords[f] = live_coords(f, arena);
+      }
+    }
+  });
+
+  // 3. Per-class contributions of every fact that joins a group. Numeric
+  //    parsing is hoisted into a per-distinct-value cache first —
+  //    sequentially, since NumericValueOf reads lazily memoized dimension
+  //    state.
+  std::vector<std::vector<FactContribution>> contribs(nclasses);
+  for (std::size_t c = 0; c < nclasses; ++c) {
+    const AggFunction& function = request.classes[c];
+    NumericValueCache cache;
+    if (function.kind() != AggregateFunctionKind::kCount) {
+      const std::size_t dim = function.args().front();
+      const Dimension& dimension = mo.dimension(dim);
+      for (const FactDimRelation::Entry& entry : mo.relation(dim).entries()) {
+        if (entry.value == dimension.top_value()) continue;
+        if (cache.find(entry.value.raw()) != cache.end()) continue;
+        cache.emplace(entry.value.raw(),
+                      dimension.NumericValueOf(entry.value, request.prob_at));
+      }
+    }
+    contribs[c].resize(facts.size());
+    for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
       for (std::size_t f = begin; f < end; ++f) {
         if (coords[f].has_value()) {
-          contributions[f] = ContributionOf(mo, spec, facts[f], fact_entries,
-                                            f, numeric_values_ptr, arena);
+          contribs[c][f] =
+              ContributionOf(mo, function, request.prob_at, facts[f],
+                             &fact_entries, f, &cache, arena);
         }
       }
-    };
-    if (parallel) {
-      const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-      exec->EnsureWorkerArenas(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        fill_chunk(chunk * facts.size() / chunks,
-                   (chunk + 1) * facts.size() / chunks,
-                   &exec->worker_arena(chunk));
-      });
-      exec->stats.tasks += chunks;
-    } else {
-      fill_chunk(0, facts.size(), &exec->arena);
-    }
+    });
   }
 
+  // 4. The partitioned scan.
   const std::size_t num_partitions = parallel ? exec->num_threads : 1;
   if (parallel) exec->EnsureWorkerArenas(num_partitions);
-  std::vector<KernelPartition> parts;
+  std::vector<ScanPartition> parts;
   parts.reserve(num_partitions);
   for (std::size_t p = 0; p < num_partitions; ++p) {
-    parts.emplace_back(parallel ? &exec->worker_arena(p) : &exec->arena);
+    parts.emplace_back(parallel ? &exec->worker_arena(p) : coordinator);
   }
-  if (engine == GroupEngine::kDenseSlots) {
-    const std::uint64_t slots = space.slot_count();
+  if (dense) {
+    const std::uint64_t slots = plan.space.slot_count();
     const std::uint64_t base = slots / num_partitions;
     const std::uint64_t extra = slots % num_partitions;
     std::uint64_t begin = 0;
@@ -969,107 +1112,98 @@ Status RunGroupByKernel(
                                     FlatHashGroupIndex::kNoGroup);
     }
   }
-
-  auto scan_partition = [&](std::size_t p) {
-    KernelPartition& part = parts[p];
-    std::vector<std::size_t> cursor(n);
-    std::vector<ValueId> scratch(n);
+  const auto scan_partition = [&](std::size_t p) {
+    ScanPartition& part = parts[p];
+    std::vector<std::size_t> cursor(nl);
+    std::vector<ValueId> scratch(nl);
     for (std::size_t f = 0; f < facts.size(); ++f) {
       if (!coords[f].has_value()) continue;
-      const CoordLists& per_dim = *coords[f];
+      const CoordLists& per_axis = *coords[f];
       std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's coordinate lists.
+      // Enumerate the cross product of the fact's live coordinate lists
+      // (one iteration — the single global group — when nl == 0).
       while (true) {
-        KernelGroup* group = nullptr;
-        bool inserted = false;
-        if (engine == GroupEngine::kDenseSlots) {
-          // Row-major slot: dimension 0 is the most significant digit and
-          // each digit is the coordinate's rank in its grouping category,
-          // so ascending slots reproduce the map's lexicographic order.
+        std::uint32_t g = FlatHashGroupIndex::kNoGroup;
+        if (dense) {
+          // Row-major slot over the live axes, lowest dimension index
+          // most significant — ascending slots are the canonical order.
           std::uint64_t slot = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            slot = slot * space.cardinality(i) +
-                   (space.fixed(i)
-                        ? 0
-                        : space.OrdinalOf(i, per_dim[i][cursor[i]].dense));
+          for (std::size_t j = 0; j < nl; ++j) {
+            slot = slot * plan.space.cardinality(j) +
+                   plan.space.OrdinalOf(j, per_axis[j][cursor[j]].dense);
           }
           if (slot >= part.slot_begin && slot < part.slot_end) {
-            std::uint32_t& g = part.group_of_slot[static_cast<std::size_t>(
+            std::uint32_t& mapped = part.group_of_slot[static_cast<std::size_t>(
                 slot - part.slot_begin)];
-            if (g == FlatHashGroupIndex::kNoGroup) {
-              g = static_cast<std::uint32_t>(part.groups.size());
-              part.groups.emplace_back(part.arena);
+            if (mapped == FlatHashGroupIndex::kNoGroup) {
+              mapped = part.AddGroup(nl, nclasses, rendered);
               part.slot_of_group.push_back(slot);
-              inserted = true;
             }
-            group = &part.groups[g];
+            g = mapped;
           }
         } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            scratch[i] = per_dim[i][cursor[i]].value;
+          for (std::size_t j = 0; j < nl; ++j) {
+            scratch[j] = per_axis[j][cursor[j]].value;
           }
-          const std::uint64_t hash = HashValueIds(scratch.data(), n);
+          const std::uint64_t hash = HashValueIds(scratch.data(), nl);
           if (num_partitions == 1 || hash % num_partitions == p) {
-            const std::uint32_t g = part.index.FindOrInsert(
-                hash, static_cast<std::uint32_t>(part.groups.size()),
+            bool inserted = false;
+            g = part.index.FindOrInsert(
+                hash, static_cast<std::uint32_t>(part.member_count.size()),
                 [&](std::uint32_t ordinal) {
                   return std::equal(scratch.begin(), scratch.end(),
                                     part.key_storage.begin() +
                                         static_cast<std::ptrdiff_t>(
-                                            ordinal * n));
+                                            ordinal * nl));
                 },
                 &inserted);
             if (inserted) {
-              part.key_storage.insert(part.key_storage.end(), scratch.begin(),
-                                      scratch.end());
-              part.groups.emplace_back(part.arena);
+              part.key_storage.insert(part.key_storage.end(),
+                                      scratch.begin(), scratch.end());
+              part.AddGroup(nl, nclasses, rendered);
             }
-            group = &part.groups[g];
           }
         }
-        if (group != nullptr) {
-          if (inserted) {
-            group->base.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-            group->base.prob_per_dim.assign(n, 1.0);
+        if (g != FlatHashGroupIndex::kNoGroup) {
+          ++part.member_count[g];
+          part.inc_group.push_back(g);
+          part.inc_fact.push_back(facts[f]);
+          if (rendered) {
+            const std::size_t axis_base = static_cast<std::size_t>(g) * nl;
+            double member_prob = 1.0;
+            for (std::size_t j = 0; j < nl; ++j) {
+              const Coordinate& c = per_axis[j][cursor[j]];
+              Lifespan& life = part.life_per_axis[axis_base + j];
+              if (c.life.has_value()) life = life.Intersect(*c.life);
+              part.prob_per_axis[axis_base + j] *= c.prob;
+              member_prob *= c.prob;
+            }
+            part.expected[g] += member_prob;
           }
-          group->base.members.push_back(facts[f]);
-          double member_prob = 1.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const Coordinate& c = per_dim[i][cursor[i]];
-            if (c.life.has_value()) {
-              group->base.life_per_dim[i] =
-                  group->base.life_per_dim[i].Intersect(*c.life);
+          const std::size_t class_base = static_cast<std::size_t>(g) * nclasses;
+          for (std::size_t c = 0; c < nclasses; ++c) {
+            const FactContribution& fc = contribs[c][f];
+            if (rendered && fc.arg_life.has_value()) {
+              part.result_life[g] = part.result_life[g].Intersect(*fc.arg_life);
             }
-            group->base.prob_per_dim[i] *= c.prob;
-            member_prob *= c.prob;
-          }
-          group->expected += member_prob;
-          if (needs_data && !bad_dim) {
-            const FactContribution& c = contributions[f];
-            if (c.arg_life.has_value()) {
-              group->result_life = group->result_life.Intersect(*c.arg_life);
+            Status& error = part.errors[class_base + c];
+            if (!error.ok()) continue;
+            if (!fc.error.ok()) {
+              error = fc.error;
+              continue;
             }
-            if (c.failed) {
-              if (!group->failed) {
-                group->failed = true;
-                group->error = c.error;
-              }
-            } else if (!group->failed) {
-              if (kind == AggregateFunctionKind::kCount) {
-                group->agg.AddCounted(c.counted);
-              } else {
-                for (double value : c.values) group->agg.Add(value);
-              }
-            }
+            AggFunction::Accumulator& acc = part.accums[class_base + c];
+            acc.AddCounted(fc.counted);
+            for (double value : fc.values) acc.Add(value);
           }
         }
         // Advance the cross-product cursor.
-        std::size_t i = 0;
-        while (i < n && ++cursor[i] == per_dim[i].size()) {
-          cursor[i] = 0;
-          ++i;
+        std::size_t j = 0;
+        while (j < nl && ++cursor[j] == per_axis[j].size()) {
+          cursor[j] = 0;
+          ++j;
         }
-        if (i == n) break;
+        if (j == nl) break;
       }
     }
   };
@@ -1082,45 +1216,38 @@ Status RunGroupByKernel(
     scan_partition(0);
   }
 
-  // Canonical group order: ascending slot for the dense engine (the
-  // partitions own ascending disjoint ranges), one lexicographic key sort
-  // for the flat-hash engine — both exactly the ordered map's iteration
-  // order.
+  // 5. Canonical group order: ascending slot for the dense engine (the
+  //    partitions own ascending disjoint ranges), one lexicographic key
+  //    sort for the flat-hash engine — both exactly the ordered map's
+  //    iteration order.
   struct GroupRef {
     std::uint32_t partition;
     std::uint32_t ordinal;
   };
-  std::size_t total = 0;
-  for (const KernelPartition& part : parts) total += part.groups.size();
   std::vector<GroupRef> order;
-  order.reserve(total);
   const auto merge_start = std::chrono::steady_clock::now();
-  if (engine == GroupEngine::kDenseSlots) {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      KernelPartition& part = parts[p];
-      std::vector<std::uint32_t> by_slot(part.groups.size());
-      for (std::uint32_t g = 0; g < by_slot.size(); ++g) by_slot[g] = g;
-      std::sort(by_slot.begin(), by_slot.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return part.slot_of_group[a] < part.slot_of_group[b];
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const ScanPartition& part = parts[p];
+    const std::size_t first = order.size();
+    for (std::uint32_t g = 0; g < part.member_count.size(); ++g) {
+      order.push_back({static_cast<std::uint32_t>(p), g});
+    }
+    if (dense) {
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(first),
+                order.end(), [&](const GroupRef& a, const GroupRef& b) {
+                  return part.slot_of_group[a.ordinal] <
+                         part.slot_of_group[b.ordinal];
                 });
-      for (std::uint32_t g : by_slot) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
     }
-  } else {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      for (std::uint32_t g = 0; g < parts[p].groups.size(); ++g) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
+  }
+  if (!dense) {
     std::sort(order.begin(), order.end(),
               [&](const GroupRef& a, const GroupRef& b) {
                 const ValueId* ka =
-                    parts[a.partition].key_storage.data() + a.ordinal * n;
+                    parts[a.partition].key_storage.data() + a.ordinal * nl;
                 const ValueId* kb =
-                    parts[b.partition].key_storage.data() + b.ordinal * n;
-                return std::lexicographical_compare(ka, ka + n, kb, kb + n);
+                    parts[b.partition].key_storage.data() + b.ordinal * nl;
+                return std::lexicographical_compare(ka, ka + nl, kb, kb + nl);
               });
   }
   if (parallel) {
@@ -1130,46 +1257,58 @@ Status RunGroupByKernel(
             .count());
   }
 
-  if (bad_dim && total > 0) {
-    // Every group's Evaluate would fail identically; surface it exactly
-    // as the baseline does for its first group.
-    return Status::InvalidArgument(
-        StrCat(spec.function.name(), " references dimension ",
-               spec.function.args().front(), " of a ", n,
-               "-dimensional MO"));
+  // 6. Emission: gather the owning partitions' state in canonical order
+  //    and scatter the incidence logs into ascending member lists.
+  GroupScan out;
+  out.groups.resize(order.size());
+  out.accums.reserve(order.size() * nclasses);
+  out.errors.reserve(order.size() * nclasses);
+  if (rendered) {
+    out.life_per_axis.reserve(order.size() * nl);
+    out.prob_per_axis.reserve(order.size() * nl);
+    out.expected.reserve(order.size());
+    out.result_life.reserve(order.size());
   }
-  keys.reserve(total);
-  accums.reserve(total);
-  evals.reserve(total);
-  GroupKey key(n);
-  for (const GroupRef& ref : order) {
-    KernelPartition& part = parts[ref.partition];
-    KernelGroup& group = part.groups[ref.ordinal];
-    if (group.failed) return group.error;
-    if (engine == GroupEngine::kDenseSlots) {
-      space.KeyOf(part.slot_of_group[ref.ordinal], key);
-    } else {
-      const auto begin = part.key_storage.begin() +
-                         static_cast<std::ptrdiff_t>(ref.ordinal * n);
-      key.assign(begin, begin + static_cast<std::ptrdiff_t>(n));
-    }
-    // Members were appended in ascending fact order and each fact joins a
-    // given key at most once, so the list is already the canonical sorted
-    // set EvaluateGroup produces.
-    GroupEval eval;
-    if (kind == AggregateFunctionKind::kSetCount) {
-      eval.value = spec.expected_counts
-                       ? group.expected
-                       : static_cast<double>(group.base.members.size());
-    } else {
-      MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(group.agg));
-    }
-    eval.result_life = group.result_life;
-    keys.push_back(key);
-    accums.push_back(std::move(group.base));
-    evals.push_back(eval);
+  std::vector<std::vector<std::uint32_t>> out_of(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    out_of[p].resize(parts[p].member_count.size());
   }
-  return Status::OK();
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    const auto [p, g] = order[t];
+    ScanPartition& part = parts[p];
+    StreamGroup& group = out.groups[t];
+    if (dense) {
+      plan.space.KeyOf(part.slot_of_group[g], group.key);
+    } else {
+      const ValueId* key = part.key_storage.data() + g * nl;
+      group.key.assign(key, key + nl);
+    }
+    group.member_facts.reserve(part.member_count[g]);
+    out_of[p][g] = static_cast<std::uint32_t>(t);
+    const std::size_t class_base = static_cast<std::size_t>(g) * nclasses;
+    out.accums.insert(out.accums.end(), part.accums.begin() + class_base,
+                      part.accums.begin() + class_base + nclasses);
+    out.errors.insert(out.errors.end(), part.errors.begin() + class_base,
+                      part.errors.begin() + class_base + nclasses);
+    if (rendered) {
+      const std::size_t axis_base = static_cast<std::size_t>(g) * nl;
+      for (std::size_t j = 0; j < nl; ++j) {
+        out.life_per_axis.push_back(
+            std::move(part.life_per_axis[axis_base + j]));
+        out.prob_per_axis.push_back(part.prob_per_axis[axis_base + j]);
+      }
+      out.expected.push_back(part.expected[g]);
+      out.result_life.push_back(std::move(part.result_life[g]));
+    }
+  }
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const ScanPartition& part = parts[p];
+    for (std::size_t e = 0; e < part.inc_group.size(); ++e) {
+      out.groups[out_of[p][part.inc_group[e]]].member_facts.push_back(
+          part.inc_fact[e]);
+    }
+  }
+  return out;
 }
 
 /// Steps 4-6 of aggregate formation, shared with FoldAggregateAppend:
@@ -1378,141 +1517,20 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
   const std::size_t n = mo.dimension_count();
 
-  // Everything arena-backed below (coordinates, contributions, kernel
-  // partition state) is scratch of this one formation; the guard rewinds
-  // the context's arenas on every exit path.
-  ArenaResetGuard arena_guard{exec};
-
-  bool parallel = exec != nullptr && exec->WantsParallel(facts.size());
-  if (parallel && !summarizability.summarizable) {
-    // Per-worker partial groups are safely combinable exactly when the
-    // function is distributive and the paths strict and the hierarchies
-    // partitioning (Section 3.4) — the same rule under which
-    // PreAggregateCache reuses materialized partials. Anything else
-    // (non-strict groupings, AVG, ...) conservatively runs sequentially.
-    ++exec->stats.sequential_fallbacks;
-    parallel = false;
-  }
-
-  // 0. Compiled rollup snapshots for the grouping dimensions. Any caller
-  //    with an execution context gets the indexed path (one thread
-  //    included); callers without one keep the untouched memoized engine
-  //    as ground truth. A dimension whose snapshot fails the
-  //    strictness/non-temporal gate falls back to traversal — results
-  //    are bit-identical either way, only the walk differs.
-  std::vector<std::shared_ptr<const RollupIndex>> indexes;
-  if (exec != nullptr) {
-    indexes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // 0b. Per-fact entry lists for the dimensions the hot loops touch
-  //     (indexed grouping dimensions and the aggregate's argument
-  //     dimensions): one lockstep walk of each relation's by-fact tree
-  //     against the sorted fact vector replaces one tree lookup per
-  //     (fact, dimension) below.
-  FactEntryLists fact_entries;
-  const FactEntryLists* fact_entries_ptr = nullptr;
-  if (exec != nullptr) {
-    std::vector<bool> wanted(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (indexes[i] != nullptr) wanted[i] = true;
-    }
-    for (std::size_t dim : spec.function.args()) {
-      if (dim < n) wanted[dim] = true;
-    }
-    fact_entries = BuildFactEntryLists(mo, wanted);
-    fact_entries_ptr = &fact_entries;
-  }
-
-  // 1. Grouping coordinates per fact, in fact order. Coordinate lists
-  //    bump the context's arenas — per parallel chunk its own arena, so
-  //    workers never contend — and fall back to plain heap vectors for
-  //    context-free callers.
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  if (parallel) {
-    // Warm the lazily written closure memos so the fan-out below only
-    // ever reads the dimensions.
-    for (std::size_t i = 0; i < n; ++i) mo.dimension(i).WarmClosureMemo();
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      Arena* arena = &exec->worker_arena(chunk);
-      for (std::size_t f = begin; f < end; ++f) {
-        coords[f] = GroupingCoordinates(mo, spec, facts[f], indexes, arena,
-                                        fact_entries_ptr, f);
-      }
-    });
-    exec->stats.tasks += chunks;
-  } else {
-    Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      coords[f] = GroupingCoordinates(mo, spec, facts[f], indexes, arena,
-                                      fact_entries_ptr, f);
-    }
-  }
-
-  // 2. Engine selection (docs/groupby_kernel.md). Any caller with an
-  //    execution context gets a kernel: dense slots when every grouping
-  //    dimension is either grouped at top or covered by a flat rollup
-  //    table AND the slot cross-product fits the context's threshold;
-  //    the flat-hash kernel otherwise. Context-free callers keep the
-  //    ordered-map baseline as differential ground truth.
-  GroupEngine engine = GroupEngine::kOrderedMap;
-  DenseSlotSpace space;
-  if (exec != nullptr) {
-    engine = GroupEngine::kFlatHash;
-    bool all_indexed = true;
-    std::vector<DenseSlotSpace::GroupingDim> grouping_dims(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) {
-        grouping_dims[i] = {nullptr, 0, mo.dimension(i).top_value()};
-      } else if (indexes[i] != nullptr) {
-        grouping_dims[i] = {indexes[i].get(), spec.grouping[i], ValueId{}};
-      } else {
-        all_indexed = false;
-        break;
-      }
-    }
-    if (all_indexed) {
-      switch (DenseSlotSpace::Build(grouping_dims,
-                                    exec->max_dense_groupby_slots, &space)) {
-        case DenseSlotSpace::Plan::kDense:
-          engine = GroupEngine::kDenseSlots;
-          break;
-        case DenseSlotSpace::Plan::kTooManySlots:
-          ++exec->stats.dense_slot_fallbacks;
-          break;
-        case DenseSlotSpace::Plan::kNotIndexed:
-          break;
-      }
-    }
-  }
-
-  // 3. Build and evaluate groups. Either engine yields groups in
-  //    canonical lexicographic key order with members in ascending fact
-  //    order, so the assembled result is byte-identical across engines
-  //    and thread counts.
+  // Build and evaluate groups. Either engine yields groups in canonical
+  // lexicographic key order with members in ascending fact order, so the
+  // assembled result is byte-identical across engines and thread counts.
   std::vector<GroupKey> keys;
   std::vector<GroupAccum> accums;
   std::vector<GroupEval> evals;
-  if (engine == GroupEngine::kOrderedMap) {
+  if (exec == nullptr) {
+    // Context-free callers keep the ordered-map engine as differential
+    // ground truth (docs/groupby_kernel.md).
     GroupMap groups;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      AccumulateFact(n, facts[f], *coords[f], groups);
+    for (FactId fact : facts) {
+      std::optional<CoordLists> coords =
+          GroupingCoordinates(mo, spec, fact, {}, nullptr);
+      if (coords.has_value()) AccumulateFact(n, fact, *coords, groups);
     }
     keys.reserve(groups.size());
     accums.reserve(groups.size());
@@ -1523,19 +1541,78 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
       evals.push_back(eval);
       accums.push_back(std::move(group));
     }
-  } else {
-    if (engine == GroupEngine::kDenseSlots) {
-      ++exec->stats.dense_groupby_runs;
-    } else {
-      ++exec->stats.flat_hash_runs;
-    }
-    MDDC_RETURN_NOT_OK(RunGroupByKernel(mo, spec, engine, space, coords,
-                                        fact_entries_ptr, parallel, exec, keys,
-                                        accums, evals));
+    return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
+                                   evals);
   }
 
-  // 4-6. Assemble the result (and, under spec.capture, record the raw
-  //      fold state) — shared with FoldAggregateAppend.
+  // Everything arena-backed in the core is scratch of this one formation;
+  // the guard rewinds the context's arenas on every exit path.
+  ArenaResetGuard arena_guard{exec};
+  ScanRequest request;
+  request.prob_at = spec.prob_at;
+  request.rendered = true;
+  request.parallel = exec->WantsParallel(facts.size());
+  if (request.parallel && !summarizability.summarizable) {
+    // Per-worker partial groups are safely combinable exactly when the
+    // function is distributive and the paths strict and the hierarchies
+    // partitioning (Section 3.4) — the same rule under which
+    // PreAggregateCache reuses materialized partials. Anything else
+    // (non-strict groupings, AVG, ...) conservatively runs sequentially.
+    ++exec->stats.sequential_fallbacks;
+    request.parallel = false;
+  }
+  const bool needs_data = !spec.function.args().empty();
+  const bool bad_dim = needs_data && spec.function.args().front() >= n;
+  if (needs_data && !bad_dim) request.classes.push_back(spec.function);
+  const GroupPlan plan = PlanGroupBy(mo, spec.grouping,
+                                     exec->max_dense_groupby_slots,
+                                     &exec->stats);
+  GroupScan scan = ScanGroups(mo, plan, request, exec);
+  if (bad_dim && !scan.groups.empty()) {
+    // Every group's Evaluate would fail identically; surface it exactly
+    // as the baseline does for its first group.
+    return Status::InvalidArgument(
+        StrCat(spec.function.name(), " references dimension ",
+               spec.function.args().front(), " of a ", n, "-dimensional MO"));
+  }
+  // Re-insert the top-grouped dimensions, which the core never scans:
+  // their coordinate is the top value with Always lifespan and
+  // probability 1 for every fact.
+  const std::size_t nl = plan.live.size();
+  keys.reserve(scan.groups.size());
+  accums.reserve(scan.groups.size());
+  evals.reserve(scan.groups.size());
+  for (std::size_t t = 0; t < scan.groups.size(); ++t) {
+    StreamGroup& group = scan.groups[t];
+    GroupEval eval;
+    if (spec.function.kind() == AggregateFunctionKind::kSetCount) {
+      eval.value = spec.expected_counts
+                       ? scan.expected[t]
+                       : static_cast<double>(group.member_facts.size());
+    } else {
+      if (!scan.errors[t].ok()) return scan.errors[t];
+      MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(scan.accums[t]));
+    }
+    eval.result_life = std::move(scan.result_life[t]);
+    GroupKey key(n);
+    GroupAccum accum;
+    accum.members.assign(group.member_facts.begin(), group.member_facts.end());
+    accum.life_per_dim.resize(n);
+    accum.prob_per_dim.assign(n, 1.0);
+    for (std::size_t i = 0, j = 0; i < n; ++i) {
+      if (j < nl && plan.live[j] == i) {
+        key[i] = group.key[j];
+        accum.life_per_dim[i] = std::move(scan.life_per_axis[t * nl + j]);
+        accum.prob_per_dim[i] = scan.prob_per_axis[t * nl + j];
+        ++j;
+      } else {
+        key[i] = mo.dimension(i).top_value();
+      }
+    }
+    keys.push_back(std::move(key));
+    accums.push_back(std::move(accum));
+    evals.push_back(std::move(eval));
+  }
   return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
                                  evals);
 }
@@ -1621,12 +1698,7 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   // resume the exact member-order left-folds over the delta facts. The
   // registry read-back recovers each group's canonical member list (set
   // terms stay resolvable through fork chains).
-  struct FoldGroup {
-    GroupAccum accum;
-    std::ptrdiff_t old_index = -1;
-    std::size_t old_members = 0;
-  };
-  std::map<GroupKey, FoldGroup> groups;
+  GroupMap groups;
   const FactRegistry& registry = *mo.registry();
   FactId max_old_member;  // invalid = no captured members at all
   for (std::size_t g = 0; g < state.groups.size(); ++g) {
@@ -1635,27 +1707,24 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
         old_group.prob_per_dim.size() != n) {
       return Status::InvalidArgument("fold state group shape mismatch");
     }
+    if (g > 0 && !(state.groups[g - 1].key < old_group.key)) {
+      return Status::InvalidArgument(
+          "fold state groups are not in canonical key order");
+    }
     MDDC_ASSIGN_OR_RETURN(FactTerm term, registry.Get(old_group.group_fact));
     if (term.kind != FactTerm::Kind::kSet ||
         term.members.size() != old_group.member_count) {
       return Status::InvalidArgument("fold state group members drifted");
     }
-    FoldGroup seeded;
-    seeded.old_index = static_cast<std::ptrdiff_t>(g);
-    seeded.old_members = term.members.size();
-    seeded.accum.members.assign(term.members.begin(), term.members.end());
-    seeded.accum.life_per_dim = old_group.life_per_dim;
-    seeded.accum.prob_per_dim = old_group.prob_per_dim;
+    GroupAccum seeded;
+    seeded.members.assign(term.members.begin(), term.members.end());
+    seeded.life_per_dim = old_group.life_per_dim;
+    seeded.prob_per_dim = old_group.prob_per_dim;
     if (!term.members.empty() &&
         (!max_old_member.valid() || max_old_member < term.members.back())) {
       max_old_member = term.members.back();
     }
-    auto [it, inserted] =
-        groups.emplace(old_group.key, std::move(seeded));
-    if (!inserted) {
-      return Status::InvalidArgument("fold state has duplicate group keys");
-    }
-    (void)it;
+    groups.emplace_hint(groups.end(), old_group.key, std::move(seeded));
   }
   // The byte-identity argument needs every delta fact to sort after every
   // captured member and the delta itself to ascend — the natural shape of
@@ -1670,167 +1739,98 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
     }
   }
 
-  // Rollup snapshots for the delta coordinate scan, exactly as the
-  // formation's step 0 (the snapshots themselves patch incrementally on
-  // appends — see RollupIndex::For).
-  std::vector<std::shared_ptr<const RollupIndex>> indexes;
-  if (exec != nullptr) {
-    indexes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // Delta accumulation: the AccumulateFact cross product, resumed on the
-  // seeded accumulators. The delta is small by construction, so the scan
+  // Delta accumulation: the baseline's AccumulateFact, resumed on the
+  // seeded groups, over coordinates resolved through the planned rollup
+  // snapshots (which themselves patch incrementally on appends — see
+  // RollupIndex::For). The delta is small by construction, so the scan
   // stays sequential.
+  const GroupPlan plan = PlanGroupBy(
+      mo, spec.grouping,
+      exec != nullptr ? exec->max_dense_groupby_slots
+                      : ExecContext::kDefaultMaxDenseGroupbySlots,
+      exec != nullptr ? &exec->stats : nullptr);
   Arena* arena = exec != nullptr ? &exec->arena : nullptr;
   for (FactId fact : delta_facts) {
     std::optional<CoordLists> coords =
-        GroupingCoordinates(mo, spec, fact, indexes, arena);
-    if (!coords.has_value()) continue;
-    std::vector<std::size_t> cursor(n, 0);
-    while (true) {
-      GroupKey key(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        key[i] = (*coords)[i][cursor[i]].value;
-      }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      GroupAccum& group = it->second.accum;
-      if (inserted) {
-        group.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-        group.prob_per_dim.assign(n, 1.0);
-      }
-      group.members.push_back(fact);
-      double member_prob = 1.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Coordinate& c = (*coords)[i][cursor[i]];
-        if (c.life.has_value()) {
-          group.life_per_dim[i] = group.life_per_dim[i].Intersect(*c.life);
-        }
-        group.prob_per_dim[i] *= c.prob;
-        member_prob *= c.prob;
-      }
-      group.member_probs.push_back(member_prob);
-      std::size_t i = 0;
-      while (i < n && ++cursor[i] == (*coords)[i].size()) {
-        cursor[i] = 0;
-        ++i;
-      }
-      if (i == n) break;
-    }
+        GroupingCoordinates(mo, spec, fact, plan.indexes, arena);
+    if (coords.has_value()) AccumulateFact(n, fact, *coords, groups);
   }
 
-  // Evaluate merged groups in canonical order: untouched groups replay
-  // their captured value verbatim, fresh groups evaluate from scratch
-  // (exactly what the full run would do for a group of only-new members),
-  // and mixed groups resume the accumulator from the captured value so
-  // the floating-point operation sequence matches a full old-then-new
-  // fold bit for bit.
+  // Evaluate merged groups in canonical order, walking the captured
+  // groups alongside: untouched groups replay their captured value
+  // verbatim, fresh groups evaluate from scratch (exactly what the full
+  // run would do for a group of only-new members), and extended groups
+  // resume the accumulator and the Section 4.2 result lifespan from the
+  // capture over the fresh members' contributions, so the floating-point
+  // and temporal operation sequence matches a full old-then-new fold.
   std::vector<GroupKey> keys;
   std::vector<GroupAccum> accums;
   std::vector<GroupEval> evals;
   keys.reserve(groups.size());
   accums.reserve(groups.size());
   evals.reserve(groups.size());
-  for (auto& [key, fold_group] : groups) {
-    GroupAccum& group = fold_group.accum;
+  std::size_t next_old = 0;
+  for (auto& [key, group] : groups) {
+    const AggregateFoldState::Group* old_group = nullptr;
+    if (next_old < state.groups.size() && state.groups[next_old].key == key) {
+      old_group = &state.groups[next_old++];
+    }
     GroupEval eval;
-    if (fold_group.old_index < 0) {
+    if (old_group == nullptr) {
       MDDC_ASSIGN_OR_RETURN(eval, EvaluateGroup(mo, spec, group));
+    } else if (group.members.size() == old_group->member_count) {
+      eval.value = old_group->value;
+      eval.result_life = old_group->result_life;
     } else {
-      const AggregateFoldState::Group& old_group =
-          state.groups[static_cast<std::size_t>(fold_group.old_index)];
-      const std::size_t fresh_count =
-          group.members.size() - fold_group.old_members;
-      if (fresh_count == 0) {
-        eval.value = old_group.value;
-        eval.result_life = old_group.result_life;
+      if (!spec.function.args().empty() && spec.function.args().front() >= n) {
+        return Status::InvalidArgument(
+            StrCat(spec.function.name(), " references dimension ",
+                   spec.function.args().front(), " of a ", n,
+                   "-dimensional MO"));
+      }
+      // The captured value IS the accumulator's settled statistic, and
+      // count only matters to Finish's empty-group error, which the
+      // capture already cleared.
+      AggFunction::Accumulator acc;
+      acc.count = 1;
+      switch (kind) {
+        case AggregateFunctionKind::kSum:
+          acc.sum = old_group->value;
+          break;
+        case AggregateFunctionKind::kCount:
+          acc.count = static_cast<std::size_t>(old_group->value);
+          break;
+        case AggregateFunctionKind::kMin:
+          acc.min_value = old_group->value;
+          break;
+        case AggregateFunctionKind::kMax:
+          acc.max_value = old_group->value;
+          break;
+        default:  // SetCount resumes from the member count below
+          break;
+      }
+      eval.result_life = old_group->result_life;
+      for (std::size_t m = old_group->member_count; m < group.members.size();
+           ++m) {
+        const FactContribution c =
+            ContributionOf(mo, spec.function, spec.prob_at, group.members[m],
+                           nullptr, 0, nullptr, arena);
+        if (c.arg_life.has_value()) {
+          eval.result_life = eval.result_life.Intersect(*c.arg_life);
+        }
+        MDDC_RETURN_NOT_OK(c.error);
+        acc.AddCounted(c.counted);
+        for (double value : c.values) acc.Add(value);
+      }
+      if (kind == AggregateFunctionKind::kSetCount) {
+        eval.value = static_cast<double>(group.members.size());
       } else {
-        const std::span<const FactId> fresh(
-            group.members.data() + fold_group.old_members, fresh_count);
-        if (kind == AggregateFunctionKind::kSetCount) {
-          eval.value = static_cast<double>(group.members.size());
-        } else {
-          // Resume Evaluate's fold where the capture left off: the
-          // captured value IS the accumulator's settled statistic, and
-          // count only matters to Finish's empty-group error, which the
-          // capture already cleared.
-          AggFunction::Accumulator acc;
-          acc.count = 1;
-          switch (kind) {
-            case AggregateFunctionKind::kSum:
-              acc.sum = old_group.value;
-              break;
-            case AggregateFunctionKind::kCount:
-              acc.count = static_cast<std::size_t>(old_group.value);
-              break;
-            case AggregateFunctionKind::kMin:
-              acc.min_value = old_group.value;
-              break;
-            case AggregateFunctionKind::kMax:
-              acc.max_value = old_group.value;
-              break;
-            default:
-              return Status::InvalidArgument("unexpected fold kind");
-          }
-          const std::size_t dim = spec.function.args().front();
-          if (dim >= n) {
-            return Status::InvalidArgument(
-                StrCat(spec.function.name(), " references dimension ", dim,
-                       " of a ", n, "-dimensional MO"));
-          }
-          const Dimension& dimension = mo.dimension(dim);
-          for (FactId member : fresh) {
-            for (const FactDimRelation::Entry* entry :
-                 mo.relation(dim).ForFact(member)) {
-              if (entry->value == dimension.top_value()) continue;
-              if (kind == AggregateFunctionKind::kCount) {
-                acc.AddCounted(1);
-                continue;
-              }
-              MDDC_ASSIGN_OR_RETURN(
-                  double value,
-                  dimension.NumericValueOf(entry->value, spec.prob_at));
-              acc.Add(value);
-            }
-          }
-          MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(acc));
-        }
-        // Resume the Section 4.2 result-lifespan fold over the fresh
-        // members (old members contributed first in the full run, and
-        // the capture holds exactly that prefix).
-        Lifespan result_life = old_group.result_life;
-        for (std::size_t dim : spec.function.args()) {
-          if (dim >= n) continue;
-          const FactDimRelation& relation = mo.relation(dim);
-          for (FactId member : fresh) {
-            TemporalElement member_valid;
-            TemporalElement member_transaction;
-            for (std::size_t e : relation.EntryIndexesForFact(member)) {
-              const FactDimRelation::Entry& entry = relation.entries()[e];
-              member_valid = member_valid.Union(entry.life.valid);
-              member_transaction =
-                  member_transaction.Union(entry.life.transaction);
-            }
-            result_life = result_life.Intersect(
-                Lifespan{member_valid, member_transaction});
-          }
-        }
-        eval.result_life = result_life;
+        MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(acc));
       }
     }
     keys.push_back(key);
     accums.push_back(std::move(group));
-    evals.push_back(eval);
+    evals.push_back(std::move(eval));
   }
 
   if (exec != nullptr) ++exec->stats.aggregate_folds;
@@ -1840,55 +1840,6 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
 
 // ---- Streaming multi-aggregate group-by ------------------------------------
 
-namespace {
-
-/// Per-worker state of a stream run — KernelPartition minus the rendered
-/// state (member lists, lifespans, probabilities) the fused MDQL path
-/// never displays, plus per-class accumulator strides so every function
-/// folds in the one scan.
-struct StreamPartition {
-  explicit StreamPartition(Arena* a)
-      : group_of_slot(ArenaAllocator<std::uint32_t>(a)),
-        slot_of_group(ArenaAllocator<std::uint64_t>(a)),
-        key_storage(ArenaAllocator<ValueId>(a)),
-        members(ArenaAllocator<std::size_t>(a)),
-        accums(ArenaAllocator<AggFunction::Accumulator>(a)),
-        failed(ArenaAllocator<unsigned char>(a)),
-        inc_group(ArenaAllocator<std::uint32_t>(a)),
-        inc_fact(ArenaAllocator<FactId>(a)) {}
-
-  std::uint64_t slot_begin = 0;
-  std::uint64_t slot_end = 0;
-  ArenaVec<std::uint32_t> group_of_slot;
-  ArenaVec<std::uint64_t> slot_of_group;
-  FlatHashGroupIndex index;
-  ArenaVec<ValueId> key_storage;              // stride = live dim count
-  ArenaVec<std::size_t> members;              // one per group
-  ArenaVec<AggFunction::Accumulator> accums;  // stride = class count
-  ArenaVec<unsigned char> failed;             // stride = class count
-  std::vector<Status> errors;                 // stride = class count
-  /// Membership incidences in scan order (ascending fact within each
-  /// group, since the scan walks facts ascending); recorded only under
-  /// StreamSpec::collect_members and scattered into per-group lists at
-  /// emission.
-  ArenaVec<std::uint32_t> inc_group;
-  ArenaVec<FactId> inc_fact;
-};
-
-/// Functions sharing an argument dimension and pair-vs-value reading
-/// share one contribution pass, one accumulator per group and one sticky
-/// error — the Accumulator keeps count/sum/min/max regardless of which
-/// Finish will read it, so the shared state is exactly what running each
-/// function alone would have built.
-struct AccumClass {
-  std::size_t dim = 0;
-  bool counts = false;     // COUNT reads pairs; SUM/AVG/MIN/MAX read values
-  std::size_t exemplar = 0;  // index into StreamSpec::functions
-  bool bad_dim = false;      // dim >= dimension_count: error only if groups
-};
-
-}  // namespace
-
 StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
                                  ExecContext* exec) {
@@ -1897,48 +1848,27 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
   if (grouping.size() != n) return probe;
   for (std::size_t i = 0; i < n; ++i) {
     if (grouping[i] >= mo.dimension(i).type().category_count()) return probe;
-    if (grouping[i] != mo.dimension(i).type().top()) probe.live.push_back(i);
   }
   // The probe never touches stats: EXPLAIN must not perturb the counters
   // of the statements it describes.
-  std::vector<std::shared_ptr<const RollupIndex>> hold;
-  std::vector<DenseSlotSpace::GroupingDim> dims;
-  hold.reserve(probe.live.size());
-  dims.reserve(probe.live.size());
-  probe.all_indexed = true;
-  for (std::size_t i : probe.live) {
-    std::shared_ptr<const RollupIndex> index =
-        RollupIndex::For(mo.dimension(i));
-    if (!index->has_flat_table()) {
-      probe.all_indexed = false;
-      return probe;
+  const GroupPlan plan = PlanGroupBy(
+      mo, grouping,
+      exec != nullptr ? exec->max_dense_groupby_slots
+                      : ExecContext::kDefaultMaxDenseGroupbySlots,
+      nullptr);
+  probe.live = plan.live;
+  probe.all_indexed = plan.verdict != DenseSlotSpace::Plan::kNotIndexed;
+  if (plan.verdict == DenseSlotSpace::Plan::kDense) {
+    probe.dense = true;
+    probe.slot_product = plan.space.slot_count();
+  } else if (plan.verdict == DenseSlotSpace::Plan::kTooManySlots) {
+    // Re-plan unbounded so EXPLAIN can still print the product (stays 0
+    // when it overflows 64 bits).
+    const GroupPlan wide = PlanGroupBy(
+        mo, grouping, std::numeric_limits<std::uint64_t>::max(), nullptr);
+    if (wide.verdict == DenseSlotSpace::Plan::kDense) {
+      probe.slot_product = wide.space.slot_count();
     }
-    hold.push_back(std::move(index));
-    dims.push_back({hold.back().get(), grouping[i], ValueId{}});
-  }
-  const std::uint64_t max_slots = exec != nullptr
-                                      ? exec->max_dense_groupby_slots
-                                      : (std::uint64_t{1} << 22);
-  DenseSlotSpace space;
-  switch (DenseSlotSpace::Build(dims, max_slots, &space)) {
-    case DenseSlotSpace::Plan::kDense:
-      probe.dense = true;
-      probe.slot_product = space.slot_count();
-      break;
-    case DenseSlotSpace::Plan::kTooManySlots: {
-      // Rebuild unbounded so EXPLAIN can still print the product (stays 0
-      // when it overflows 64 bits).
-      DenseSlotSpace wide;
-      if (DenseSlotSpace::Build(dims,
-                                std::numeric_limits<std::uint64_t>::max(),
-                                &wide) == DenseSlotSpace::Plan::kDense) {
-        probe.slot_product = wide.slot_count();
-      }
-      break;
-    }
-    case DenseSlotSpace::Plan::kNotIndexed:
-      probe.all_indexed = false;
-      break;
   }
   return probe;
 }
@@ -1967,455 +1897,67 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                " facts of ", facts.size()));
   }
 
-  // Dead-dimension pruning: a top-grouped dimension contributes one fixed
-  // coordinate with probability 1 to every fact, so the scan drops it and
-  // keys carry only the live axes.
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (spec.grouping[i] != mo.dimension(i).type().top()) live.push_back(i);
-  }
-  const std::size_t nl = live.size();
-
-  std::size_t kept = facts.size();
-  if (spec.keep != nullptr) {
-    kept = static_cast<std::size_t>(
-        std::count(spec.keep->begin(), spec.keep->end(), true));
-  }
-
-  // Everything arena-backed below is scratch of this one stream; the
-  // guard rewinds the context's arenas on every exit path (the returned
-  // groups are plain heap state).
+  // Everything arena-backed in the core is scratch of this one stream;
+  // the guard rewinds the context's arenas on every exit path (the
+  // returned groups are plain heap state).
   ArenaResetGuard arena_guard{exec};
-
-  bool parallel = exec != nullptr && spec.allow_parallel &&
-                  exec->WantsParallel(kept);
-  if (parallel) {
+  ScanRequest request;
+  request.prob_at = spec.prob_at;
+  request.keep = spec.keep;
+  const std::size_t kept =
+      spec.keep == nullptr
+          ? facts.size()
+          : static_cast<std::size_t>(
+                std::count(spec.keep->begin(), spec.keep->end(), true));
+  request.parallel = exec != nullptr && exec->WantsParallel(kept);
+  if (request.parallel) {
     // Same safety gate as AggregateFormation, applied to every fused
     // function: per-worker partial groups are combinable exactly when the
     // Section 3.4 preconditions hold.
     for (const AggFunction& fn : spec.functions) {
       if (!CheckSummarizability(mo, fn.kind(), spec.grouping).summarizable) {
         ++exec->stats.sequential_fallbacks;
-        parallel = false;
+        request.parallel = false;
         break;
       }
     }
   }
 
-  // Compiled rollup snapshots for the live dimensions (exec-gated exactly
-  // like AggregateFormation's step 0).
-  std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i : live) {
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // The accumulator classes behind spec.functions.
-  std::vector<AccumClass> classes;
-  std::vector<std::size_t> class_of(spec.functions.size(),
-                                    std::numeric_limits<std::size_t>::max());
+  // The accumulator classes behind spec.functions: one per argument
+  // dimension and pair-vs-value reading. SetCount reads member counts
+  // and an out-of-range argument fails at emission, so neither needs one.
+  std::vector<std::size_t> class_of(spec.functions.size());
   for (std::size_t k = 0; k < spec.functions.size(); ++k) {
     const AggFunction& fn = spec.functions[k];
-    if (fn.args().empty()) continue;  // SetCount folds from member counts
-    const std::size_t dim = fn.args().front();
+    if (fn.args().empty() || fn.args().front() >= n) continue;
     const bool counts = fn.kind() == AggregateFunctionKind::kCount;
     std::size_t c = 0;
-    for (; c < classes.size(); ++c) {
-      if (classes[c].dim == dim && classes[c].counts == counts) break;
-    }
-    if (c == classes.size()) {
-      classes.push_back(AccumClass{dim, counts, k, dim >= n});
-    }
-    class_of[k] = c;
-  }
-  const std::size_t nclasses = classes.size();
-
-  // Per-fact entry lists for the live indexed dimensions and the classes'
-  // argument dimensions.
-  FactEntryLists fact_entries;
-  const FactEntryLists* fact_entries_ptr = nullptr;
-  if (exec != nullptr) {
-    std::vector<bool> wanted(n, false);
-    for (std::size_t i : live) {
-      if (indexes[i] != nullptr) wanted[i] = true;
-    }
-    for (const AccumClass& cls : classes) {
-      if (!cls.bad_dim) wanted[cls.dim] = true;
-    }
-    fact_entries = BuildFactEntryLists(mo, wanted);
-    fact_entries_ptr = &fact_entries;
-  }
-
-  // 1. Live coordinates per kept fact, in fact order. A fact with an
-  //    empty live list joins no group (exactly GroupingCoordinates'
-  //    nullopt), and a false keep entry is skipped outright — selection
-  //    pushdown without the materialized Select.
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  auto live_coords = [&](std::size_t f,
-                         Arena* arena) -> std::optional<CoordLists> {
-    CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
-    per_dim.reserve(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
-    }
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      const RollupIndex* index = indexes[i].get();
-      const FactDimRelation::EntrySpan* span =
-          (index != nullptr && fact_entries_ptr != nullptr)
-              ? &(*fact_entries_ptr)[i][f]
-              : nullptr;
-      AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index,
-                           facts[f], span, per_dim[j]);
-      if (per_dim[j].empty()) return std::nullopt;
-    }
-    return per_dim;
-  };
-  if (parallel) {
-    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      Arena* arena = &exec->worker_arena(chunk);
-      for (std::size_t f = begin; f < end; ++f) {
-        if (spec.keep == nullptr || (*spec.keep)[f]) {
-          coords[f] = live_coords(f, arena);
-        }
-      }
-    });
-    exec->stats.tasks += chunks;
-  } else {
-    Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (spec.keep == nullptr || (*spec.keep)[f]) {
-        coords[f] = live_coords(f, arena);
-      }
-    }
-  }
-
-  // 2. Per-class fact contributions, sharing ContributionOf (and its
-  //    sequential numeric-value hoist) with the kernel path.
-  std::vector<std::vector<FactContribution>> contribs(nclasses);
-  std::vector<NumericValueCache> caches(nclasses);
-  for (std::size_t c = 0; c < nclasses; ++c) {
-    const AccumClass& cls = classes[c];
-    if (cls.bad_dim) continue;
-    const AggregateSpec cspec{spec.functions[cls.exemplar],
-                              spec.grouping,
-                              ResultDimensionSpec::Auto(),
-                              spec.prob_at,
-                              false,
-                              false};
-    const NumericValueCache* cache_ptr = nullptr;
-    if (!cls.counts) {
-      const Dimension& dimension = mo.dimension(cls.dim);
-      NumericValueCache& cache = caches[c];
-      for (const FactDimRelation::Entry& entry :
-           mo.relation(cls.dim).entries()) {
-        if (entry.value == dimension.top_value()) continue;
-        const std::uint64_t raw = entry.value.raw();
-        if (cache.find(raw) != cache.end()) continue;
-        cache.emplace(raw,
-                      dimension.NumericValueOf(entry.value, spec.prob_at));
-      }
-      cache_ptr = &cache;
-    }
-    contribs[c].resize(facts.size());
-    auto fill_chunk = [&](std::size_t begin, std::size_t end, Arena* arena) {
-      for (std::size_t f = begin; f < end; ++f) {
-        if (coords[f].has_value()) {
-          contribs[c][f] = ContributionOf(mo, cspec, facts[f],
-                                          fact_entries_ptr, f, cache_ptr,
-                                          arena);
-        }
-      }
-    };
-    if (parallel) {
-      const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-      exec->EnsureWorkerArenas(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        fill_chunk(chunk * facts.size() / chunks,
-                   (chunk + 1) * facts.size() / chunks,
-                   &exec->worker_arena(chunk));
-      });
-      exec->stats.tasks += chunks;
-    } else {
-      fill_chunk(0, facts.size(), exec != nullptr ? &exec->arena : nullptr);
-    }
-  }
-
-  // 3. Engine selection over the live axes only (dead dimensions never
-  //    widen the slot product).
-  GroupEngine engine = GroupEngine::kFlatHash;
-  DenseSlotSpace space;
-  {
-    bool all_indexed = true;
-    std::vector<DenseSlotSpace::GroupingDim> grouping_dims(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      if (indexes[i] != nullptr) {
-        grouping_dims[j] = {indexes[i].get(), spec.grouping[i], ValueId{}};
-      } else {
-        all_indexed = false;
+    for (; c < request.classes.size(); ++c) {
+      const AggFunction& exemplar = request.classes[c];
+      if (exemplar.args().front() == fn.args().front() &&
+          (exemplar.kind() == AggregateFunctionKind::kCount) == counts) {
         break;
       }
     }
-    if (all_indexed) {
-      const std::uint64_t max_slots = exec != nullptr
-                                          ? exec->max_dense_groupby_slots
-                                          : (std::uint64_t{1} << 22);
-      switch (DenseSlotSpace::Build(grouping_dims, max_slots, &space)) {
-        case DenseSlotSpace::Plan::kDense:
-          engine = GroupEngine::kDenseSlots;
-          break;
-        case DenseSlotSpace::Plan::kTooManySlots:
-          if (exec != nullptr) ++exec->stats.dense_slot_fallbacks;
-          break;
-        case DenseSlotSpace::Plan::kNotIndexed:
-          break;
-      }
-    }
+    if (c == request.classes.size()) request.classes.push_back(fn);
+    class_of[k] = c;
   }
-  if (exec != nullptr) {
-    if (engine == GroupEngine::kDenseSlots) {
-      ++exec->stats.dense_groupby_runs;
-    } else {
-      ++exec->stats.flat_hash_runs;
-    }
-  }
+  const std::size_t nclasses = request.classes.size();
 
-  // 4. The partitioned scan: contiguous dense-slot ranges or keys by
-  //    hash, every worker scans all facts, every group built whole by one
-  //    worker — exactly RunGroupByKernel's ownership scheme.
-  const std::size_t num_partitions = parallel ? exec->num_threads : 1;
-  if (parallel) exec->EnsureWorkerArenas(num_partitions);
-  std::vector<StreamPartition> parts;
-  parts.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    parts.emplace_back(parallel ? &exec->worker_arena(p)
-                       : exec != nullptr ? &exec->arena
-                                         : nullptr);
-  }
-  if (engine == GroupEngine::kDenseSlots) {
-    const std::uint64_t slots = space.slot_count();
-    const std::uint64_t base = slots / num_partitions;
-    const std::uint64_t extra = slots % num_partitions;
-    std::uint64_t begin = 0;
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      const std::uint64_t width = base + (p < extra ? 1 : 0);
-      parts[p].slot_begin = begin;
-      parts[p].slot_end = begin + width;
-      begin += width;
-      parts[p].group_of_slot.assign(static_cast<std::size_t>(width),
-                                    FlatHashGroupIndex::kNoGroup);
-    }
-  }
+  const GroupPlan plan = PlanGroupBy(
+      mo, spec.grouping,
+      exec != nullptr ? exec->max_dense_groupby_slots
+                      : ExecContext::kDefaultMaxDenseGroupbySlots,
+      exec != nullptr ? &exec->stats : nullptr);
+  GroupScan scan = ScanGroups(mo, plan, request, exec);
 
-  auto scan_partition = [&](std::size_t p) {
-    StreamPartition& part = parts[p];
-    std::vector<std::size_t> cursor(nl);
-    std::vector<ValueId> scratch(nl);
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      const CoordLists& per_dim = *coords[f];
-      std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's live coordinate lists
-      // (one iteration — the single global group — when nl == 0).
-      while (true) {
-        std::uint32_t g = FlatHashGroupIndex::kNoGroup;
-        if (engine == GroupEngine::kDenseSlots) {
-          // Row-major slot over the live axes, lowest dimension index
-          // most significant — ascending slots are the canonical order.
-          std::uint64_t slot = 0;
-          for (std::size_t j = 0; j < nl; ++j) {
-            slot = slot * space.cardinality(j) +
-                   space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
-          }
-          if (slot >= part.slot_begin && slot < part.slot_end) {
-            std::uint32_t& mapped = part.group_of_slot[
-                static_cast<std::size_t>(slot - part.slot_begin)];
-            if (mapped == FlatHashGroupIndex::kNoGroup) {
-              mapped = static_cast<std::uint32_t>(part.members.size());
-              part.slot_of_group.push_back(slot);
-              part.members.push_back(0);
-              part.accums.insert(part.accums.end(), nclasses,
-                                 AggFunction::Accumulator{});
-              part.failed.insert(part.failed.end(), nclasses, 0);
-              part.errors.resize(part.errors.size() + nclasses);
-            }
-            g = mapped;
-          }
-        } else {
-          for (std::size_t j = 0; j < nl; ++j) {
-            scratch[j] = per_dim[j][cursor[j]].value;
-          }
-          const std::uint64_t hash = HashValueIds(scratch.data(), nl);
-          if (num_partitions == 1 || hash % num_partitions == p) {
-            bool inserted = false;
-            g = part.index.FindOrInsert(
-                hash, static_cast<std::uint32_t>(part.members.size()),
-                [&](std::uint32_t ordinal) {
-                  return std::equal(scratch.begin(), scratch.end(),
-                                    part.key_storage.begin() +
-                                        static_cast<std::ptrdiff_t>(
-                                            ordinal * nl));
-                },
-                &inserted);
-            if (inserted) {
-              part.key_storage.insert(part.key_storage.end(),
-                                      scratch.begin(), scratch.end());
-              part.members.push_back(0);
-              part.accums.insert(part.accums.end(), nclasses,
-                                 AggFunction::Accumulator{});
-              part.failed.insert(part.failed.end(), nclasses, 0);
-              part.errors.resize(part.errors.size() + nclasses);
-            }
-          }
-        }
-        if (g != FlatHashGroupIndex::kNoGroup) {
-          ++part.members[g];
-          if (spec.collect_members) {
-            part.inc_group.push_back(g);
-            part.inc_fact.push_back(facts[f]);
-          }
-          const std::size_t base = static_cast<std::size_t>(g) * nclasses;
-          for (std::size_t c = 0; c < nclasses; ++c) {
-            if (classes[c].bad_dim) continue;
-            const FactContribution& fc = contribs[c][f];
-            if (fc.failed) {
-              if (!part.failed[base + c]) {
-                part.failed[base + c] = 1;
-                part.errors[base + c] = fc.error;
-              }
-            } else if (!part.failed[base + c]) {
-              if (classes[c].counts) {
-                part.accums[base + c].AddCounted(fc.counted);
-              } else {
-                for (double value : fc.values) {
-                  part.accums[base + c].Add(value);
-                }
-              }
-            }
-          }
-        }
-        // Advance the cross-product cursor.
-        std::size_t j = 0;
-        while (j < nl && ++cursor[j] == per_dim[j].size()) {
-          cursor[j] = 0;
-          ++j;
-        }
-        if (j == nl) break;
-      }
-    }
-  };
-  if (parallel) {
-    exec->pool().ParallelFor(num_partitions, scan_partition);
-    exec->stats.tasks += num_partitions;
-    exec->stats.partitions += num_partitions;
-    ++exec->stats.parallel_runs;
-  } else {
-    scan_partition(0);
-  }
-
-  // 5. Canonical group order: ascending slot for the dense engine (the
-  //    partitions own ascending disjoint ranges), one lexicographic key
-  //    sort for the flat-hash engine.
-  struct GroupRef {
-    std::uint32_t partition;
-    std::uint32_t ordinal;
-  };
-  std::size_t total = 0;
-  for (const StreamPartition& part : parts) total += part.members.size();
-  std::vector<GroupRef> order;
-  order.reserve(total);
-  const auto merge_start = std::chrono::steady_clock::now();
-  if (engine == GroupEngine::kDenseSlots) {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      StreamPartition& part = parts[p];
-      std::vector<std::uint32_t> by_slot(part.members.size());
-      for (std::uint32_t g = 0; g < by_slot.size(); ++g) by_slot[g] = g;
-      std::sort(by_slot.begin(), by_slot.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return part.slot_of_group[a] < part.slot_of_group[b];
-                });
-      for (std::uint32_t g : by_slot) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      for (std::uint32_t g = 0; g < parts[p].members.size(); ++g) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [&](const GroupRef& a, const GroupRef& b) {
-                const ValueId* ka =
-                    parts[a.partition].key_storage.data() + a.ordinal * nl;
-                const ValueId* kb =
-                    parts[b.partition].key_storage.data() + b.ordinal * nl;
-                return std::lexicographical_compare(ka, ka + nl, kb, kb + nl);
-              });
-  }
-  if (parallel) {
-    exec->stats.merge_nanos += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count());
-  }
-
-  // 6. Emission, function-major: function k's errors (CheckApplicable,
-  //    then each group's sticky class error or Finish failure, in
-  //    canonical group order) surface before function k+1 computes
-  //    anything — exactly the order running the functions one
-  //    AggregateFormation at a time produces.
-  std::vector<StreamGroup> out(order.size());
-  std::vector<ValueId> key(nl);
-  for (std::size_t t = 0; t < order.size(); ++t) {
-    const GroupRef& ref = order[t];
-    const StreamPartition& part = parts[ref.partition];
-    StreamGroup& group = out[t];
-    if (engine == GroupEngine::kDenseSlots) {
-      space.KeyOf(part.slot_of_group[ref.ordinal], key);
-      group.key = key;
-    } else {
-      const ValueId* base = part.key_storage.data() + ref.ordinal * nl;
-      group.key.assign(base, base + nl);
-    }
-    group.members = part.members[ref.ordinal];
-    group.values.reserve(spec.functions.size());
-  }
-  if (spec.collect_members) {
-    // Scatter the scan-order incidence log into per-group lists. Each
-    // worker walked facts ascending, so within a group the log is already
-    // in ascending fact order.
-    std::vector<std::vector<std::uint32_t>> out_of(parts.size());
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      out_of[p].resize(parts[p].members.size());
-    }
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      out_of[order[t].partition][order[t].ordinal] =
-          static_cast<std::uint32_t>(t);
-      out[t].member_facts.reserve(out[t].members);
-    }
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      const StreamPartition& part = parts[p];
-      for (std::size_t e = 0; e < part.inc_group.size(); ++e) {
-        out[out_of[p][part.inc_group[e]]].member_facts.push_back(
-            part.inc_fact[e]);
-      }
-    }
-  }
+  // Function-major emission: function k's errors (CheckApplicable, then
+  // each group's sticky class error or Finish failure, in canonical group
+  // order) surface before function k+1 computes anything — exactly the
+  // order running the functions one AggregateFormation at a time
+  // produces.
+  std::vector<StreamGroup>& out = scan.groups;
+  for (StreamGroup& group : out) group.values.reserve(spec.functions.size());
   for (std::size_t k = 0; k < spec.functions.size(); ++k) {
     const AggFunction& fn = spec.functions[k];
     if (spec.enforce_aggregation_types) {
@@ -2423,7 +1965,8 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
     }
     if (fn.args().empty()) {
       for (StreamGroup& group : out) {
-        group.values.push_back(static_cast<double>(group.members));
+        group.values.push_back(
+            static_cast<double>(group.member_facts.size()));
       }
       continue;
     }
@@ -2438,18 +1981,14 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
       }
       continue;
     }
-    const std::size_t c = class_of[k];
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      const GroupRef& ref = order[t];
-      const StreamPartition& part = parts[ref.partition];
-      const std::size_t base =
-          static_cast<std::size_t>(ref.ordinal) * nclasses + c;
-      if (part.failed[base]) return part.errors[base];
-      MDDC_ASSIGN_OR_RETURN(double value, fn.Finish(part.accums[base]));
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      const std::size_t at = t * nclasses + class_of[k];
+      if (!scan.errors[at].ok()) return scan.errors[at];
+      MDDC_ASSIGN_OR_RETURN(double value, fn.Finish(scan.accums[at]));
       out[t].values.push_back(value);
     }
   }
-  return out;
+  return std::move(out);
 }
 
 }  // namespace mddc

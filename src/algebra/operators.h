@@ -195,21 +195,25 @@ struct AggregateSpec {
 /// summarizability rule of Section 4.1 (min of argument types when
 /// distributive + strict + partitioning, else c).
 ///
-/// Any ExecContext switches grouping onto a flat kernel
-/// (docs/groupby_kernel.md): dense row-major slots over the compiled
-/// rollup index when every grouping dimension is covered and the slot
-/// cross-product fits exec->max_dense_groupby_slots, an open-addressing
-/// flat-hash kernel otherwise; without a context the ordered-map
-/// baseline runs unchanged. With num_threads > 1 and a fact set of at
-/// least min_parallel_facts the kernel additionally fans out: each
-/// worker scans all facts and owns a disjoint slice of the group space
-/// (contiguous slot ranges, or keys by hash), so every group is built
-/// whole by one worker and the result — down to its serialized bytes —
-/// is identical to the sequential path at any thread count. The
-/// parallel path is taken only when the Section 3.4 summarizability
-/// preconditions hold (the same gate PreAggregateCache applies);
-/// otherwise the operator falls back to the sequential algorithm and
-/// counts a sequential_fallback on the context.
+/// Any ExecContext runs the one group-by core (docs/groupby_kernel.md)
+/// with a single accumulator class, asking it to also record the state
+/// only this operator renders (per-dimension lifespans and
+/// probabilities, expected counts, the Section 4.2 result lifespan). The
+/// core plans over the live (non-top) axes: dense row-major slots over
+/// the compiled rollup index when every live axis is covered and the
+/// slot cross-product fits exec->max_dense_groupby_slots, an
+/// open-addressing flat-hash scan otherwise; top-grouped dimensions are
+/// re-inserted (top value, Always, probability 1) before assembly.
+/// Without a context the ordered-map baseline runs unchanged. With
+/// num_threads > 1 and a fact set of at least min_parallel_facts the
+/// core additionally fans out: each worker scans all facts and owns a
+/// disjoint slice of the group space (contiguous slot ranges, or keys by
+/// hash), so every group is built whole by one worker and the result —
+/// down to its serialized bytes — is identical to the sequential path at
+/// any thread count. The parallel path is taken only when the Section
+/// 3.4 summarizability preconditions hold (the same gate
+/// PreAggregateCache applies); otherwise the operator falls back to the
+/// sequential algorithm and counts a sequential_fallback on the context.
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec = nullptr);
@@ -225,9 +229,12 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
 /// explicit result specs, or an invalid state all return an error so
 /// the caller can fall back to a full re-run.
 ///
-/// Foldability per Section 3.4: SUM/COUNT/MIN/MAX resume their exact
-/// accumulator from the captured per-group value; crisp SetCount resumes
-/// from the member count; strict-path checks factorize over the fact
+/// The delta's coordinates come from the same rollup-index planning step
+/// as the group-by core and fold through the baseline's ordered-map
+/// accumulation. Foldability per Section 3.4: SUM/COUNT/MIN/MAX resume
+/// their exact accumulator (and the result lifespan) from the captured
+/// per-group state over the fresh members' contributions; crisp SetCount
+/// resumes from the member count; strict-path checks factorize over the fact
 /// partition (only the delta is re-scanned) and partitioning — a
 /// dimension-local property appends can break — is recomputed when the
 /// dimension's version moved. When spec.capture is set, the fold records
@@ -266,14 +273,6 @@ struct StreamSpec {
   /// skipped by the scan — selection pushdown without materializing the
   /// filtered MO. Null means every fact participates.
   const std::vector<bool>* keep = nullptr;
-  /// When false the scan stays sequential even on a parallel context.
-  bool allow_parallel = true;
-  /// When true every StreamGroup carries its member fact list (ascending
-  /// fact order). AggregateFormation interns each group as a set-fact, so
-  /// two groups with identical member sets collapse into ONE result fact;
-  /// a renderer that must match the formation byte-for-byte needs the
-  /// member lists to replicate that collapse.
-  bool collect_members = false;
 };
 
 /// One output group of AggregateStream, in canonical order (ascending
@@ -283,10 +282,11 @@ struct StreamGroup {
   /// The grouping values of the live (non-top) dimensions, in ascending
   /// dimension-index order.
   std::vector<ValueId> key;
-  /// Distinct member facts (each fact joins a given key at most once).
-  std::size_t members = 0;
-  /// The member facts, ascending; filled only under
-  /// StreamSpec::collect_members (empty otherwise).
+  /// The distinct member facts, ascending (each fact joins a given key at
+  /// most once). AggregateFormation interns each group as a set-fact, so
+  /// two groups with identical member sets collapse into ONE result fact;
+  /// a renderer that must match the formation byte-for-byte needs the
+  /// member lists to replicate that collapse.
   std::vector<FactId> member_facts;
   /// One settled result per StreamSpec function, in spec order.
   std::vector<double> values;
@@ -311,18 +311,22 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
                                  ExecContext* exec = nullptr);
 
-/// Runs the fused scan. Groups come back in canonical key order with
-/// members accumulated in ascending fact order, and functions sharing an
-/// argument dimension share one accumulator class, so every value (and
-/// every error, in function-major order) is bit-identical to running the
-/// functions through AggregateFormation one at a time. With a parallel
-/// context the group space is partitioned (contiguous dense-slot ranges,
-/// or keys by hash) and every worker scans all facts, so each group is
-/// built whole by one worker — thread count never changes a byte. The
-/// parallel path is gated on every function passing the Section 3.4
-/// summarizability check, like AggregateFormation's gate. Counts
-/// dense_groupby_runs / flat_hash_runs / dense_slot_fallbacks /
-/// index_hits / index_fallbacks / parallel_runs on the context.
+/// Runs the fused scan: validation, one accumulator class per argument
+/// dimension and pair-vs-value reading, one call of the group-by core
+/// AggregateFormation also runs (accumulators and member lists only, no
+/// rendered state), then function-major Finish. Groups come back in
+/// canonical key order with members accumulated in ascending fact order,
+/// so every value (and every error, in function-major order) is
+/// bit-identical to running the functions through AggregateFormation one
+/// at a time. With a parallel context the group space is partitioned
+/// (contiguous dense-slot ranges, or keys by hash) and every worker scans
+/// all facts, so each group is built whole by one worker — thread count
+/// never changes a byte. The parallel path is gated on every function
+/// passing the Section 3.4 summarizability check, like
+/// AggregateFormation's gate. Counts dense_groupby_runs / flat_hash_runs
+/// / dense_slot_fallbacks / index_hits / index_fallbacks / parallel_runs
+/// on the context; without one the plan uses
+/// ExecContext::kDefaultMaxDenseGroupbySlots.
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,
                                                  ExecContext* exec = nullptr);

@@ -223,8 +223,11 @@ struct ExecContext {
   /// (it costs ~4 bytes of slot indirection per slot); groupings whose
   /// cross-product of grouping-category cardinalities exceeds this use
   /// the flat-hash kernel instead (stats.dense_slot_fallbacks counts
-  /// the demotions). Exposed so tests and tuning can move the boundary.
-  std::uint64_t max_dense_groupby_slots = std::uint64_t{1} << 22;
+  /// the demotions). Exposed so tests and tuning can move the boundary;
+  /// context-free group-bys plan against the same default.
+  static constexpr std::uint64_t kDefaultMaxDenseGroupbySlots =
+      std::uint64_t{1} << 22;
+  std::uint64_t max_dense_groupby_slots = kDefaultMaxDenseGroupbySlots;
 
   ExecStats stats;
 

@@ -14,26 +14,24 @@ DenseSlotSpace::Plan DenseSlotSpace::Build(
   out->dims_.clear();
   out->dims_.reserve(dims.size());
   for (const GroupingDim& in : dims) {
+    if (in.index == nullptr || !in.index->has_flat_table()) {
+      return Plan::kNotIndexed;
+    }
     Dim dim;
     dim.index = in.index;
-    dim.fixed_value = in.fixed_value;
-    if (in.index != nullptr) {
-      if (!in.index->has_flat_table()) return Plan::kNotIndexed;
-      const std::uint32_t* begin = in.index->CategoryBegin(in.category);
-      const std::uint32_t* end = in.index->CategoryEnd(in.category);
-      dim.range = begin;
-      dim.card = static_cast<std::uint64_t>(end - begin);
-      dim.ordinal_of_dense.assign(in.index->value_count(),
-                                  RollupIndex::kNone);
-      for (const std::uint32_t* it = begin; it != end; ++it) {
-        dim.ordinal_of_dense[*it] = static_cast<std::uint32_t>(it - begin);
-      }
+    const std::uint32_t* begin = in.index->CategoryBegin(in.category);
+    const std::uint32_t* end = in.index->CategoryEnd(in.category);
+    dim.range = begin;
+    dim.card = static_cast<std::uint64_t>(end - begin);
+    dim.ordinal_of_dense.assign(in.index->value_count(), RollupIndex::kNone);
+    for (const std::uint32_t* it = begin; it != end; ++it) {
+      dim.ordinal_of_dense[*it] = static_cast<std::uint32_t>(it - begin);
     }
     out->dims_.push_back(std::move(dim));
   }
   // Overflow-checked cross-product against the threshold. An empty
   // grouping category zeroes the space (no fact can land there), which
-  // trivially fits.
+  // trivially fits; no axes at all is the one-slot global group.
   std::uint64_t slots = 1;
   for (const Dim& dim : out->dims_) {
     if (dim.card == 0) {
@@ -43,6 +41,7 @@ DenseSlotSpace::Plan DenseSlotSpace::Build(
     if (slots > max_slots / dim.card) return Plan::kTooManySlots;
     slots *= dim.card;
   }
+  if (slots > max_slots) return Plan::kTooManySlots;
   out->slot_count_ = slots;
   return Plan::kDense;
 }
@@ -51,10 +50,6 @@ void DenseSlotSpace::KeyOf(std::uint64_t slot, std::vector<ValueId>& key) const 
   key.resize(dims_.size());
   for (std::size_t i = dims_.size(); i-- > 0;) {
     const Dim& dim = dims_[i];
-    if (dim.index == nullptr) {
-      key[i] = dim.fixed_value;
-      continue;
-    }
     const std::uint64_t ordinal = slot % dim.card;
     slot /= dim.card;
     key[i] = dim.index->ValueOf(dim.range[ordinal]);

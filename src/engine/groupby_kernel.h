@@ -24,35 +24,34 @@ namespace mddc {
 /// owning partition and its table slot derive from one computation.
 std::uint64_t HashValueIds(const ValueId* ids, std::size_t n);
 
-/// A row-major slot space over the grouping categories of an aggregate
-/// formation. Dimension 0 is the most significant digit and each
-/// dimension's digit is the rank of the coordinate value within its
-/// grouping category (categories are sorted by ValueId in the rollup
-/// snapshot), so ascending slot order IS the lexicographic ValueId key
-/// order of the ordered-map baseline — canonical output order falls out of
-/// the layout instead of a sort.
+/// A row-major slot space over the live (non-top) grouping axes of a
+/// group-by. The first axis is the most significant digit and each axis's
+/// digit is the rank of the coordinate value within its grouping category
+/// (categories are sorted by ValueId in the rollup snapshot), so ascending
+/// slot order IS the lexicographic ValueId key order of the ordered-map
+/// baseline — canonical output order falls out of the layout instead of a
+/// sort. Top-grouped dimensions are never axes: their single value adds
+/// no digit.
 ///
 /// Holds raw pointers into the RollupIndex snapshots it was built from;
 /// callers keep those snapshots alive for the space's lifetime.
 class DenseSlotSpace {
  public:
   enum class Plan {
-    /// Every grouping dimension is covered (flat table or fixed at top)
-    /// and the slot cross-product fits the threshold.
+    /// Every axis is covered by a flat table and the slot cross-product
+    /// fits the threshold.
     kDense,
     /// Structurally dense, but the cross-product exceeds `max_slots`.
     kTooManySlots,
-    /// Some grouping dimension has no usable flat rollup table.
+    /// Some axis has no usable flat rollup table.
     kNotIndexed,
   };
 
-  /// One grouping dimension: either backed by a compiled snapshot (the
-  /// grouping category's values become the digit range) or fixed to a
-  /// single value (a dimension grouped at top contributes one digit).
+  /// One axis: a compiled snapshot whose grouping category's values
+  /// become the digit range.
   struct GroupingDim {
-    const RollupIndex* index = nullptr;  // null => fixed single-value dim
+    const RollupIndex* index = nullptr;
     CategoryTypeIndex category = 0;
-    ValueId fixed_value{};  // used when index == nullptr
   };
 
   /// Plans the slot space. Returns kDense and fills `out` when the
@@ -64,23 +63,21 @@ class DenseSlotSpace {
   std::uint64_t slot_count() const { return slot_count_; }
   std::size_t dim_count() const { return dims_.size(); }
   std::uint64_t cardinality(std::size_t i) const { return dims_[i].card; }
-  bool fixed(std::size_t i) const { return dims_[i].index == nullptr; }
 
   /// The digit of dense value `dense` in dimension `i`: its rank within
   /// the grouping category. Only valid for values the flat table resolved
-  /// into the category (ancestors at it); fixed dimensions always use 0.
+  /// into the category (ancestors at it).
   std::uint32_t OrdinalOf(std::size_t i, std::uint32_t dense) const {
     return dims_[i].ordinal_of_dense[dense];
   }
 
-  /// Decomposes `slot` back into the grouping ValueIds, one per dimension
-  /// — the inverse of the row-major composition.
+  /// Decomposes `slot` back into the grouping ValueIds, one per axis —
+  /// the inverse of the row-major composition.
   void KeyOf(std::uint64_t slot, std::vector<ValueId>& key) const;
 
  private:
   struct Dim {
     const RollupIndex* index = nullptr;
-    ValueId fixed_value{};
     std::uint64_t card = 1;
     const std::uint32_t* range = nullptr;  // category dense ids, ascending
     std::vector<std::uint32_t> ordinal_of_dense;

@@ -164,7 +164,6 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
   spec.grouping = grouping;
   spec.prob_at = kNowChronon;
   spec.keep = keep_ptr;
-  spec.collect_members = true;
   MDDC_ASSIGN_OR_RETURN(std::vector<StreamGroup> groups,
                         AggregateStream(mo, spec, exec));
   if (!bind_error.ok()) return bind_error;

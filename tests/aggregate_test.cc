@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "algebra/operators.h"
+#include "engine/executor.h"
 #include "fixtures.h"
+#include "io/serialize.h"
 
 namespace mddc {
 namespace {
@@ -484,6 +490,199 @@ TEST(AggregateFormationTest, GroupingArityValidated) {
   AggregateSpec spec{AggFunction::SetCount(), {0, 0},
                      ResultDimensionSpec::Auto(), kNowChronon, true};
   EXPECT_FALSE(AggregateFormation(mo, spec).ok());
+}
+
+// ---- FoldAggregateAppend ---------------------------------------------------
+
+/// Valid during `valid`, recorded from `recorded` on.
+Lifespan Bitemporal(const std::string& valid, const std::string& recorded) {
+  return Lifespan{TemporalElement(*Interval::Parse(valid)),
+                  TemporalElement(Interval(Day(recorded), kNowChronon))};
+}
+
+/// A bitemporal Patient MO over the case-study Diagnosis dimension and
+/// the Age dimension, with no patients yet. Diagnosis is non-strict
+/// (low-level 3, 5 and 6 each roll up to two families) and patients
+/// relate to several diagnoses, some registered at family granularity.
+MdObject BuildBitemporalPatientMo() {
+  return MdObject("Patient", {BuildDiagnosisDimension(), BuildAgeDimension()},
+                  std::make_shared<FactRegistry>(), TemporalType::kBitemporal);
+}
+
+/// Appends patient `id` with `diagnoses` and one age reading — two, under
+/// different transaction times, for every third patient. Later patients'
+/// ages are valid for shorter periods, so every appended member narrows
+/// the Section 4.2 result lifespan of the groups it joins.
+FactId AddPatient(MdObject& mo, std::uint64_t id,
+                  const std::vector<std::uint64_t>& diagnoses) {
+  const FactId patient = mo.registry()->Atom(id);
+  EXPECT_TRUE(mo.AddFact(patient).ok());
+  for (std::size_t d = 0; d < diagnoses.size(); ++d) {
+    const std::string recorded = StrCat("0", 1 + (id + d) % 9, "/01/9", d);
+    EXPECT_TRUE(mo.Relate(0, patient, ValueId(diagnoses[d]),
+                          Bitemporal(d % 2 == 0 ? "[01/01/80-NOW]"
+                                                : "[01/06/82-31/12/95]",
+                                     recorded))
+                    .ok());
+  }
+  const std::uint64_t age = 20 + (id * 7) % 60;
+  const std::string valid = StrCat("[01/01/80-31/12/", 99 - id, "]");
+  EXPECT_TRUE(mo.Relate(1, patient, ValueId(age), Bitemporal(valid, "01/01/90"))
+                  .ok());
+  if (id % 3 == 0) {
+    EXPECT_TRUE(
+        mo.Relate(1, patient, ValueId(age + 1), Bitemporal(valid, "01/01/95"))
+            .ok());
+  }
+  return patient;
+}
+
+std::string Bytes(const Result<MdObject>& result) {
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return "";
+  auto bytes = io::WriteMo(*result);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : "";
+}
+
+AggregateSpec FoldSpec(const MdObject& mo, AggFunction function,
+                       const char* diagnosis_category,
+                       const char* age_category) {
+  AggregateSpec spec{std::move(function), {}, ResultDimensionSpec::Auto(),
+                     kNowChronon, true};
+  spec.grouping = {*mo.dimension(0).type().Find(diagnosis_category),
+                   *mo.dimension(1).type().Find(age_category)};
+  return spec;
+}
+
+TEST(FoldAggregateAppendTest, FoldsMatchFromScratchFormationBytes) {
+  MdObject mo = BuildBitemporalPatientMo();
+  // Diagnosis 6 (families 4 and 10) and the fact-less ages 90+ appear
+  // only in the deltas, so they create groups; families 7 and 8 (via 3
+  // and 8) appear only in the captured run, so those groups stay
+  // untouched; families 4 and 9 are extended.
+  const std::vector<std::vector<std::uint64_t>> initial = {
+      {3}, {5, 9}, {3, 8}, {9}, {5}, {8, 9}, {3, 5}, {9}, {5, 3}};
+  for (std::uint64_t p = 0; p < initial.size(); ++p) {
+    AddPatient(mo, p + 1, initial[p]);
+  }
+  const std::vector<std::vector<std::vector<std::uint64_t>>> deltas = {
+      {{6}, {9}, {5, 6}}, {{9, 6}, {}, {5}}};
+
+  const std::vector<AggFunction> functions = {
+      AggFunction::Sum(1), AggFunction::Count(1), AggFunction::Min(1),
+      AggFunction::Max(1), AggFunction::SetCount()};
+  const std::vector<std::pair<const char*, const char*>> groupings = {
+      {"Diagnosis Family", "Age"},
+      {"Diagnosis Family", "Ten-year Group"},
+      {"Diagnosis Group", "Ten-year Group"}};
+  struct Entry {
+    AggregateSpec spec;
+    AggregateFoldState state;  // context-free fold chain
+    AggregateFoldState exec_state;  // fold chain under an ExecContext
+  };
+  std::vector<Entry> entries;
+  for (const AggFunction& function : functions) {
+    for (const auto& [diagnosis, age] : groupings) {
+      Entry entry{FoldSpec(mo, function, diagnosis, age), {}, {}};
+      AggregateSpec capture = entry.spec;
+      capture.capture = &entry.state;
+      ASSERT_TRUE(AggregateFormation(mo, capture).ok());
+      ASSERT_TRUE(entry.state.valid);
+      entry.exec_state = entry.state;
+      entries.push_back(std::move(entry));
+    }
+  }
+
+  std::uint64_t next_id = initial.size() + 1;
+  for (const auto& delta : deltas) {
+    std::size_t created = 0;
+    std::size_t extended = 0;
+    std::size_t untouched = 0;
+    std::vector<FactId> delta_facts;
+    for (const std::vector<std::uint64_t>& diagnoses : delta) {
+      delta_facts.push_back(AddPatient(mo, next_id++, diagnoses));
+    }
+    for (Entry& entry : entries) {
+      SCOPED_TRACE(entry.spec.function.name());
+      const std::string scratch = Bytes(AggregateFormation(mo, entry.spec));
+      ASSERT_FALSE(scratch.empty());
+
+      AggregateFoldState refreshed;
+      AggregateSpec spec = entry.spec;
+      spec.capture = &refreshed;
+      EXPECT_EQ(Bytes(FoldAggregateAppend(mo, spec, entry.state, delta_facts)),
+                scratch);
+      ASSERT_TRUE(refreshed.valid);
+      for (const AggregateFoldState::Group& group : refreshed.groups) {
+        auto old = std::find_if(
+            entry.state.groups.begin(), entry.state.groups.end(),
+            [&](const auto& g) { return g.key == group.key; });
+        if (old == entry.state.groups.end()) {
+          ++created;
+        } else if (old->member_count < group.member_count) {
+          ++extended;
+        } else {
+          ++untouched;
+        }
+      }
+      entry.state = std::move(refreshed);
+
+      ExecContext ctx(2, /*min_facts=*/1);
+      AggregateFoldState exec_refreshed;
+      spec.capture = &exec_refreshed;
+      EXPECT_EQ(Bytes(FoldAggregateAppend(mo, spec, entry.exec_state,
+                                          delta_facts, &ctx)),
+                scratch);
+      EXPECT_EQ(ctx.stats.aggregate_folds, 1u);
+      entry.exec_state = std::move(exec_refreshed);
+    }
+    EXPECT_GT(created, 0u);
+    EXPECT_GT(extended, 0u);
+    EXPECT_GT(untouched, 0u);
+  }
+}
+
+TEST(FoldAggregateAppendTest, UnfoldableRequestsReturnErrors) {
+  MdObject mo = BuildBitemporalPatientMo();
+  for (std::uint64_t p = 1; p <= 6; ++p) AddPatient(mo, p, {5, 9});
+  const auto capture = [&](AggregateSpec spec, AggregateFoldState* state) {
+    spec.capture = state;
+    ASSERT_TRUE(AggregateFormation(mo, spec).ok());
+    ASSERT_TRUE(state->valid);
+  };
+  const AggregateSpec sum = FoldSpec(mo, AggFunction::Sum(1),
+                                     "Diagnosis Family", "Ten-year Group");
+  AggregateSpec avg = sum;
+  avg.function = AggFunction::Avg(1);
+  AggregateSpec expected = sum;
+  expected.function = AggFunction::SetCount();
+  expected.expected_counts = true;
+  AggregateFoldState sum_state;
+  AggregateFoldState avg_state;
+  AggregateFoldState expected_state;
+  capture(sum, &sum_state);
+  capture(avg, &avg_state);
+  capture(expected, &expected_state);
+
+  const FactId f7 = AddPatient(mo, 7, {9});
+  const FactId f8 = AddPatient(mo, 8, {6});
+  ASSERT_TRUE(FoldAggregateAppend(mo, sum, sum_state, {f7, f8}).ok());
+  // AVG re-divides and expected counts re-weigh every member.
+  EXPECT_FALSE(FoldAggregateAppend(mo, avg, avg_state, {f7, f8}).ok());
+  EXPECT_FALSE(
+      FoldAggregateAppend(mo, expected, expected_state, {f7, f8}).ok());
+  // The delta must ascend.
+  EXPECT_FALSE(FoldAggregateAppend(mo, sum, sum_state, {f8, f7}).ok());
+  // An edge from a pre-existing child changes existing closures.
+  Dimension& diagnosis = mo.dimension_mutable(0);
+  const std::uint64_t structural = diagnosis.structural_version();
+  ASSERT_TRUE(diagnosis
+                  .AddOrder(ValueId(5), ValueId(10),
+                            During("[01/01/80-NOW]"))
+                  .ok());
+  ASSERT_NE(diagnosis.structural_version(), structural);
+  EXPECT_FALSE(FoldAggregateAppend(mo, sum, sum_state, {f7, f8}).ok());
 }
 
 }  // namespace

@@ -6,9 +6,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/operators.h"
+#include "common/strings.h"
 #include "engine/executor.h"
 #include "engine/rollup_index.h"
 #include "fixtures.h"
@@ -21,9 +26,10 @@
 // (docs/groupby_kernel.md): differential proof against the context-free
 // ordered-map baseline over schemas forcing each rung of the fallback
 // ladder, exact behaviour at the slot-threshold boundary, 50x
-// byte-identity at 1/2/8 threads through the dense kernel, the
-// NaN-payload result-interning regression, and the relational flat-hash
-// engine against its own baseline.
+// byte-identity at 1/2/8 threads through the dense kernel, the fused
+// multi-function AggregateStream against one baseline formation per
+// function, the NaN-payload result-interning regression, and the
+// relational flat-hash engine against its own baseline.
 
 namespace mddc {
 namespace {
@@ -226,6 +232,258 @@ TEST(GroupByKernelTest, FiftyFlatHashRunsAreByteIdenticalAcrossThreads) {
       ASSERT_EQ(*bytes, baseline)
           << "flat-hash kernel diverged at threads=" << threads
           << " run=" << run;
+    }
+  }
+}
+
+// ---- Fused multi-function stream ------------------------------------------
+
+/// Per distinct member set: the grouping values of every live dimension
+/// and the result text of one function. AggregateFormation interns each
+/// group as a set-fact, so groups sharing a member set are one result
+/// fact there and merge here.
+using RenderedGroups =
+    std::map<std::vector<FactId>,
+             std::pair<std::vector<std::set<ValueId>>, std::string>>;
+
+std::vector<std::size_t> LiveDims(const MdObject& mo,
+                                  const std::vector<CategoryTypeIndex>& g) {
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
+    if (g[i] != mo.dimension(i).type().top()) live.push_back(i);
+  }
+  return live;
+}
+
+RenderedGroups RenderStream(const std::vector<StreamGroup>& groups,
+                            std::size_t live_count, std::size_t function) {
+  RenderedGroups rendered;
+  for (const StreamGroup& group : groups) {
+    EXPECT_TRUE(std::is_sorted(group.member_facts.begin(),
+                               group.member_facts.end()));
+    auto& [keys, text] = rendered[group.member_facts];
+    keys.resize(live_count);
+    for (std::size_t j = 0; j < live_count; ++j) keys[j].insert(group.key[j]);
+    text = FormatDouble(group.values[function]);
+  }
+  return rendered;
+}
+
+RenderedGroups RenderFormation(const MdObject& result,
+                               const std::vector<std::size_t>& live) {
+  RenderedGroups rendered;
+  const std::size_t n = result.dimension_count() - 1;
+  const Dimension& result_dim = result.dimension(n);
+  const Representation* rep =
+      *result_dim.FindRepresentation(result_dim.type().bottom(), "Value");
+  for (FactId fact : result.facts()) {
+    auto term = result.registry()->Get(fact);
+    EXPECT_TRUE(term.ok()) << term.status();
+    auto& [keys, text] = rendered[term->members];
+    keys.resize(live.size());
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      const FactDimRelation& relation = result.relation(live[j]);
+      for (std::size_t e : relation.EntryIndexesForFact(fact)) {
+        keys[j].insert(relation.entries()[e].value);
+      }
+    }
+    const FactDimRelation& values = result.relation(n);
+    for (std::size_t e : values.EntryIndexesForFact(fact)) {
+      text = *rep->Get(values.entries()[e].value);
+    }
+  }
+  return rendered;
+}
+
+/// `mo` with only the facts `keep` marks — what a materialized Select
+/// would hand the formation.
+MdObject Kept(const MdObject& mo, const std::vector<bool>* keep) {
+  MdObject kept = mo;
+  if (keep == nullptr) return kept;
+  for (std::size_t f = 0; f < mo.facts().size(); ++f) {
+    if (!(*keep)[f]) {
+      EXPECT_TRUE(kept.RemoveFact(mo.facts()[f]).ok());
+    }
+  }
+  return kept;
+}
+
+/// Runs `spec` through AggregateStream at 1, 2 and 8 threads and checks
+/// every function against one context-free AggregateFormation per
+/// function over the kept facts. `configure` adjusts each context;
+/// `check_stats` inspects it after the run.
+template <typename Configure, typename CheckStats>
+void ExpectStreamMatchesBaseline(const MdObject& mo, const StreamSpec& spec,
+                                 Configure configure,
+                                 CheckStats check_stats) {
+  const MdObject kept = Kept(mo, spec.keep);
+  const std::vector<std::size_t> live = LiveDims(mo, spec.grouping);
+  std::vector<RenderedGroups> baseline;
+  for (const AggFunction& function : spec.functions) {
+    AggregateSpec one{function, spec.grouping, ResultDimensionSpec::Auto(),
+                      spec.prob_at, spec.enforce_aggregation_types};
+    auto result = AggregateFormation(kept, one);
+    ASSERT_TRUE(result.ok()) << result.status();
+    baseline.push_back(RenderFormation(*result, live));
+    ASSERT_FALSE(baseline.back().empty());
+  }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    ExecContext ctx(threads, /*min_facts=*/1);
+    configure(ctx);
+    auto groups = AggregateStream(mo, spec, &ctx);
+    ASSERT_TRUE(groups.ok()) << groups.status();
+    check_stats(ctx.stats, threads);
+    for (std::size_t k = 0; k < spec.functions.size(); ++k) {
+      EXPECT_EQ(RenderStream(*groups, live.size(), k), baseline[k])
+          << spec.functions[k].name() << " diverged at threads=" << threads;
+    }
+  }
+}
+
+/// SUM/MIN/MAX share one accumulator class on the amount dimension,
+/// COUNT reads pairs on it, SUM(price) is a second value class and
+/// SetCount needs none — all distributive, so the parallel path runs.
+std::vector<AggFunction> RetailFunctions(const RetailMo& retail) {
+  return {AggFunction::Sum(retail.amount_dim),
+          AggFunction::Count(retail.amount_dim),
+          AggFunction::SetCount(),
+          AggFunction::Min(retail.amount_dim),
+          AggFunction::Sum(retail.price_dim),
+          AggFunction::Max(retail.amount_dim)};
+}
+
+/// Two live axes (the rest grouped at top) over `keep`.
+StreamSpec RetailStream(const RetailMo& retail, const std::vector<bool>* keep) {
+  StreamSpec spec;
+  spec.functions = RetailFunctions(retail);
+  spec.grouping = GroupingAt(retail.mo, retail.product_dim, retail.category);
+  spec.grouping[retail.store_dim] = retail.city;
+  spec.keep = keep;
+  return spec;
+}
+
+std::vector<bool> EveryThirdDropped(const MdObject& mo) {
+  std::vector<bool> keep(mo.facts().size());
+  for (std::size_t f = 0; f < keep.size(); ++f) keep[f] = f % 3 != 0;
+  return keep;
+}
+
+TEST(GroupByKernelTest, StreamOnStrictSchemaRunsDenseAndMatchesBaseline) {
+  RetailMo retail = BuildRetail();
+  const std::vector<bool> keep = EveryThirdDropped(retail.mo);
+  for (const std::vector<bool>* mask :
+       {static_cast<const std::vector<bool>*>(nullptr), &keep}) {
+    ExpectStreamMatchesBaseline(
+        retail.mo, RetailStream(retail, mask), [](ExecContext&) {},
+        [](const ExecStats& stats, std::size_t threads) {
+          EXPECT_EQ(stats.dense_groupby_runs, 1u);
+          EXPECT_EQ(stats.flat_hash_runs, 0u);
+          EXPECT_EQ(stats.parallel_runs, threads > 1 ? 1u : 0u);
+        });
+  }
+  // AVG joins the SUM/MIN/MAX class but is not distributive, so the
+  // whole stream fails the Section 3.4 gate and runs sequentially.
+  StreamSpec with_avg = RetailStream(retail, &keep);
+  with_avg.functions.insert(with_avg.functions.begin() + 1,
+                            AggFunction::Avg(retail.amount_dim));
+  ExpectStreamMatchesBaseline(
+      retail.mo, with_avg, [](ExecContext&) {},
+      [](const ExecStats& stats, std::size_t threads) {
+        EXPECT_EQ(stats.dense_groupby_runs, 1u);
+        EXPECT_EQ(stats.parallel_runs, 0u);
+        EXPECT_EQ(stats.sequential_fallbacks, threads > 1 ? 1u : 0u);
+      });
+}
+
+TEST(GroupByKernelTest, StreamForcedOntoFlatHashMatchesBaseline) {
+  RetailMo retail = BuildRetail();
+  const std::vector<bool> keep = EveryThirdDropped(retail.mo);
+  ExpectStreamMatchesBaseline(
+      retail.mo, RetailStream(retail, &keep),
+      [](ExecContext& ctx) { ctx.max_dense_groupby_slots = 0; },
+      [](const ExecStats& stats, std::size_t threads) {
+        EXPECT_EQ(stats.dense_groupby_runs, 0u);
+        EXPECT_EQ(stats.flat_hash_runs, 1u);
+        EXPECT_EQ(stats.dense_slot_fallbacks, 1u);
+        EXPECT_EQ(stats.parallel_runs, threads > 1 ? 1u : 0u);
+      });
+}
+
+TEST(GroupByKernelTest, StreamOnNonStrictSchemaUsesFlatHashAndMatchesBaseline) {
+  ClinicalMo clinical = BuildClinical();
+  StreamSpec spec;
+  spec.functions = {AggFunction::SetCount(),
+                    AggFunction::Count(clinical.diagnosis_dim),
+                    AggFunction::Count(clinical.residence_dim)};
+  spec.grouping =
+      GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.family);
+  spec.grouping[clinical.residence_dim] = clinical.county;
+  const std::vector<bool> keep = EveryThirdDropped(clinical.mo);
+  spec.keep = &keep;
+  ExpectStreamMatchesBaseline(
+      clinical.mo, spec, [](ExecContext&) {},
+      [](const ExecStats& stats, std::size_t threads) {
+        EXPECT_GT(stats.index_fallbacks, 0u);
+        EXPECT_EQ(stats.dense_groupby_runs, 0u);
+        EXPECT_EQ(stats.flat_hash_runs, 1u);
+        // Non-strict groupings fail the Section 3.4 gate.
+        EXPECT_EQ(stats.parallel_runs, 0u);
+        EXPECT_EQ(stats.sequential_fallbacks, threads > 1 ? 1u : 0u);
+      });
+}
+
+TEST(GroupByKernelTest, StreamOverTemporalEdgeUsesFlatHashAndMatchesBaseline) {
+  RetailMo retail = BuildRetail();
+  Dimension& products = retail.mo.dimension_mutable(retail.product_dim);
+  const ValueId category_value = products.ValuesIn(retail.category).front();
+  ASSERT_TRUE(products.AddValue(retail.product, ValueId(999983)).ok());
+  ASSERT_TRUE(products
+                  .AddOrder(ValueId(999983), category_value,
+                            During("[01/01/80-NOW]"))
+                  .ok());
+  const std::vector<bool> keep = EveryThirdDropped(retail.mo);
+  ExpectStreamMatchesBaseline(
+      retail.mo, RetailStream(retail, &keep), [](ExecContext&) {},
+      [](const ExecStats& stats, std::size_t) {
+        EXPECT_GT(stats.index_fallbacks, 0u);
+        EXPECT_EQ(stats.dense_groupby_runs, 0u);
+        EXPECT_EQ(stats.flat_hash_runs, 1u);
+      });
+}
+
+/// The first error running the functions one context-free formation at a
+/// time would hit.
+Status FirstBaselineError(const MdObject& mo, const StreamSpec& spec) {
+  for (const AggFunction& function : spec.functions) {
+    AggregateSpec one{function, spec.grouping, ResultDimensionSpec::Auto(),
+                      spec.prob_at, spec.enforce_aggregation_types};
+    auto result = AggregateFormation(mo, one);
+    if (!result.ok()) return result.status();
+  }
+  return Status::OK();
+}
+
+TEST(GroupByKernelTest, StreamErrorsSurfaceInFunctionMajorOrder) {
+  RetailMo retail = BuildRetail();
+  StreamSpec bad_dim = RetailStream(retail, nullptr);
+  bad_dim.enforce_aggregation_types = false;
+  bad_dim.functions = {AggFunction::Sum(retail.amount_dim),
+                       AggFunction::Sum(99), AggFunction::SetCount()};
+  // SUM over product names: no numeric interpretation, after a function
+  // that succeeds.
+  StreamSpec non_numeric = bad_dim;
+  non_numeric.functions = {AggFunction::Sum(retail.amount_dim),
+                           AggFunction::Sum(retail.product_dim),
+                           AggFunction::Count(99)};
+  for (const StreamSpec* spec : {&bad_dim, &non_numeric}) {
+    const Status expected = FirstBaselineError(retail.mo, *spec);
+    ASSERT_FALSE(expected.ok());
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      ExecContext ctx(threads, /*min_facts=*/1);
+      auto groups = AggregateStream(retail.mo, *spec, &ctx);
+      ASSERT_FALSE(groups.ok());
+      EXPECT_EQ(groups.status().ToString(), expected.ToString())
+          << "threads=" << threads;
     }
   }
 }
