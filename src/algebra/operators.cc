@@ -8,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "common/strings.h"
 #include "core/properties.h"
@@ -743,23 +742,26 @@ struct FactContribution {
   std::optional<Lifespan> arg_life;
 };
 
-/// Numeric values memoized per distinct argument ValueId (the outcome of
-/// NumericValueOf is a function of the value id alone for a fixed
-/// prob_at), so the per-fact contribution pass does array walks instead
-/// of representation lookups and strtod per entry.
-using NumericValueCache = std::unordered_map<std::uint64_t, Result<double>>;
+/// A value class's argument column: the numeric interpretation of every
+/// argument value at the scan's chronon, memoized on the dimension's
+/// compiled snapshot (RollupIndex::NumericColumnAt), with the snapshot
+/// whose dense ids index it.
+struct NumericArg {
+  std::shared_ptr<const RollupIndex> index;
+  std::shared_ptr<const NumericColumn> column;
+};
 
 /// `fact`'s contribution to `function`, whose argument dimension (if any)
 /// must be in range. `fact_entries` (null: per-fact lookups) holds the
-/// fact's entry runs at `fact_ordinal`; `numeric_values` (null: parse per
-/// entry) the hoisted numeric interpretations.
+/// fact's entry runs at `fact_ordinal`; `numeric` (null: parse per entry)
+/// the argument column. A value the column has no number for is asked of
+/// the dimension again, so a failure carries NumericValueOf's own text.
 FactContribution ContributionOf(const MdObject& mo,
                                 const AggFunction& function, Chronon prob_at,
                                 FactId fact,
                                 const FactEntryLists* fact_entries,
                                 std::size_t fact_ordinal,
-                                const NumericValueCache* numeric_values,
-                                Arena* arena) {
+                                const NumericArg* numeric, Arena* arena) {
   FactContribution c(arena);
   const auto entry_list = [&](std::size_t dim) -> FactDimRelation::EntrySpan {
     if (fact_entries == nullptr) {
@@ -805,9 +807,11 @@ FactContribution ContributionOf(const MdObject& mo,
       continue;
     }
     Result<double> value = [&]() -> Result<double> {
-      if (numeric_values != nullptr) {
-        auto it = numeric_values->find(entry.value.raw());
-        if (it != numeric_values->end()) return it->second;
+      if (numeric != nullptr) {
+        const std::uint32_t dense = numeric->index->DenseOf(entry.value);
+        if (dense != RollupIndex::kNone && numeric->column->numeric[dense]) {
+          return numeric->column->value[dense];
+        }
       }
       return dimension.NumericValueOf(entry.value, prob_at);
     }();
@@ -885,8 +889,6 @@ struct ScanRequest {
   /// lifespans and probabilities, expected counts and the Section 4.2
   /// result lifespans.
   bool rendered = false;
-  /// Requires an ExecContext; the caller has applied the Section 3.4 gate.
-  bool parallel = false;
 };
 
 /// The core's output, in canonical group order (ascending lexicographic
@@ -978,19 +980,28 @@ struct ScanPartition {
 /// the ordered-map baseline builds groups in — and groups emit in
 /// canonical key order (ascending slots ARE that order; flat-hash keys
 /// get one final sort), so the output matches the baseline at any thread
-/// count. On the parallel path the dense engine partitions the slot space
-/// into contiguous ranges and the flat-hash engine partitions keys by
-/// hash; every worker scans all facts and accumulates only the groups it
-/// owns, so each group is built whole by one worker.
+/// count. A context with num_threads > 1 and at least min_parallel_facts
+/// kept facts takes the parallel path, whatever the functions and the
+/// hierarchy shapes: the dense engine partitions the slot space into
+/// contiguous ranges and the flat-hash engine partitions keys by hash;
+/// every worker scans all facts and accumulates only the groups it owns,
+/// so each group is built whole by one worker and no partials are ever
+/// combined.
 GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
                      const ScanRequest& request, ExecContext* exec) {
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
   const std::vector<std::size_t>& live = plan.live;
   const std::size_t nl = live.size();
   const std::size_t nclasses = request.classes.size();
-  const bool parallel = request.parallel;
+  const std::size_t kept =
+      request.keep == nullptr
+          ? facts.size()
+          : static_cast<std::size_t>(
+                std::count(request.keep->begin(), request.keep->end(), true));
+  const bool parallel = exec != nullptr && exec->WantsParallel(kept);
   const bool rendered = request.rendered;
   const bool dense = plan.verdict == DenseSlotSpace::Plan::kDense;
+  ExecStats* stats = exec != nullptr ? &exec->stats : nullptr;
   if (exec != nullptr) {
     if (plan.verdict == DenseSlotSpace::Plan::kTooManySlots) {
       ++exec->stats.dense_slot_fallbacks;
@@ -1060,31 +1071,28 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
     }
   });
 
-  // 3. Per-class contributions of every fact that joins a group. Numeric
-  //    parsing is hoisted into a per-distinct-value cache first —
-  //    sequentially, since NumericValueOf reads lazily memoized dimension
-  //    state.
+  // 3. Per-class contributions of every fact that joins a group. A value
+  //    class reads its argument dimension's numeric column, fetched here
+  //    on the query thread: the snapshot builds it once per dimension
+  //    version and chronon, and every later statement and session view
+  //    of the epoch reuses it.
   std::vector<std::vector<FactContribution>> contribs(nclasses);
   for (std::size_t c = 0; c < nclasses; ++c) {
     const AggFunction& function = request.classes[c];
-    NumericValueCache cache;
+    NumericArg numeric;
     if (function.kind() != AggregateFunctionKind::kCount) {
-      const std::size_t dim = function.args().front();
-      const Dimension& dimension = mo.dimension(dim);
-      for (const FactDimRelation::Entry& entry : mo.relation(dim).entries()) {
-        if (entry.value == dimension.top_value()) continue;
-        if (cache.find(entry.value.raw()) != cache.end()) continue;
-        cache.emplace(entry.value.raw(),
-                      dimension.NumericValueOf(entry.value, request.prob_at));
-      }
+      const Dimension& dimension = mo.dimension(function.args().front());
+      numeric.index = RollupIndex::For(dimension, stats);
+      numeric.column =
+          numeric.index->NumericColumnAt(dimension, request.prob_at, stats);
     }
     contribs[c].resize(facts.size());
     for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
       for (std::size_t f = begin; f < end; ++f) {
         if (coords[f].has_value()) {
-          contribs[c][f] =
-              ContributionOf(mo, function, request.prob_at, facts[f],
-                             &fact_entries, f, &cache, arena);
+          contribs[c][f] = ContributionOf(
+              mo, function, request.prob_at, facts[f], &fact_entries, f,
+              numeric.column != nullptr ? &numeric : nullptr, arena);
         }
       }
     });
@@ -1509,8 +1517,8 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
 
   // The grouping collects characterizations across all time, so the
   // strictness/partitioning conditions are checked atemporally. The
-  // report drives both the Section 4.1 typing rule and the parallel
-  // path's safety gate.
+  // report drives the Section 4.1 typing rule only: the group-by core
+  // builds every group whole, so it parallelizes regardless.
   const SummarizabilityReport summarizability =
       CheckSummarizability(mo, spec.function.kind(), spec.grouping);
 
@@ -1551,16 +1559,6 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   ScanRequest request;
   request.prob_at = spec.prob_at;
   request.rendered = true;
-  request.parallel = exec->WantsParallel(facts.size());
-  if (request.parallel && !summarizability.summarizable) {
-    // Per-worker partial groups are safely combinable exactly when the
-    // function is distributive and the paths strict and the hierarchies
-    // partitioning (Section 3.4) — the same rule under which
-    // PreAggregateCache reuses materialized partials. Anything else
-    // (non-strict groupings, AVG, ...) conservatively runs sequentially.
-    ++exec->stats.sequential_fallbacks;
-    request.parallel = false;
-  }
   const bool needs_data = !spec.function.args().empty();
   const bool bad_dim = needs_data && spec.function.args().front() >= n;
   if (needs_data && !bad_dim) request.classes.push_back(spec.function);
@@ -1904,24 +1902,6 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
   ScanRequest request;
   request.prob_at = spec.prob_at;
   request.keep = spec.keep;
-  const std::size_t kept =
-      spec.keep == nullptr
-          ? facts.size()
-          : static_cast<std::size_t>(
-                std::count(spec.keep->begin(), spec.keep->end(), true));
-  request.parallel = exec != nullptr && exec->WantsParallel(kept);
-  if (request.parallel) {
-    // Same safety gate as AggregateFormation, applied to every fused
-    // function: per-worker partial groups are combinable exactly when the
-    // Section 3.4 preconditions hold.
-    for (const AggFunction& fn : spec.functions) {
-      if (!CheckSummarizability(mo, fn.kind(), spec.grouping).summarizable) {
-        ++exec->stats.sequential_fallbacks;
-        request.parallel = false;
-        break;
-      }
-    }
-  }
 
   // The accumulator classes behind spec.functions: one per argument
   // dimension and pair-vs-value reading. SetCount reads member counts

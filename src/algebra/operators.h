@@ -81,8 +81,7 @@ enum class JoinPredicate { kEqual, kNotEqual, kTrue };
 /// populated one output dimension per task (disjoint writes, per-slot
 /// Status, errors selected in dimension order). A context asking for
 /// parallelism on an m1 below min_parallel_facts counts a
-/// sequential_fallback. Unlike aggregate formation there is no
-/// summarizability gate: the join touches no aggregate values.
+/// sequential_fallback; nothing else keeps a join sequential.
 Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
                       JoinPredicate predicate, ExecContext* exec = nullptr);
 
@@ -210,10 +209,12 @@ struct AggregateSpec {
 /// disjoint slice of the group space (contiguous slot ranges, or keys by
 /// hash), so every group is built whole by one worker and the result —
 /// down to its serialized bytes — is identical to the sequential path at
-/// any thread count. The parallel path is taken only when the Section
-/// 3.4 summarizability preconditions hold (the same gate
-/// PreAggregateCache applies); otherwise the operator falls back to the
-/// sequential algorithm and counts a sequential_fallback on the context.
+/// any thread count. No partials are ever combined, so the fan-out holds
+/// for every function and hierarchy shape; the Section 3.4 report only
+/// types the result. SUM/AVG/MIN/MAX read their argument values from the
+/// numeric column memoized on the argument dimension's compiled snapshot
+/// (RollupIndex::NumericColumnAt), built once per dimension version and
+/// chronon.
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec = nullptr);
@@ -321,11 +322,13 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
 /// at a time. With a parallel context the group space is partitioned
 /// (contiguous dense-slot ranges, or keys by hash) and every worker scans
 /// all facts, so each group is built whole by one worker — thread count
-/// never changes a byte. The parallel path is gated on every function
-/// passing the Section 3.4 summarizability check, like
-/// AggregateFormation's gate. Counts dense_groupby_runs / flat_hash_runs
-/// / dense_slot_fallbacks / index_hits / index_fallbacks / parallel_runs
-/// on the context; without one the plan uses
+/// never changes a byte, whatever the functions (AVG included) and the
+/// hierarchy shapes: a context with num_threads > 1 and at least
+/// min_parallel_facts kept facts always fans out. Value classes read the
+/// argument dimension's memoized numeric column, as AggregateFormation
+/// does. Counts dense_groupby_runs / flat_hash_runs /
+/// dense_slot_fallbacks / index_hits / index_fallbacks / parallel_runs /
+/// numeric_column_builds on the context; without one the plan uses
 /// ExecContext::kDefaultMaxDenseGroupbySlots.
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,

@@ -255,6 +255,11 @@ void Dimension::InvalidateForAppendedEdge() {
 
 Representation& Dimension::RepresentationFor(CategoryTypeIndex category,
                                              std::string_view rep_name) {
+  // The caller may edit the representation: numeric columns memoized on
+  // the compiled snapshot of this version must not be served again.
+  // Values and closures are untouched, so the snapshot only patches.
+  ++version_;
+  publish_frozen_ = false;
   auto it = representations_.find(std::make_pair(category, rep_name));
   if (it == representations_.end()) {
     it = representations_

@@ -99,7 +99,9 @@ class Dimension {
                   double prob = 1.0);
 
   /// Returns (creating on first use) the representation `rep_name` of the
-  /// category `category`.
+  /// category `category`. Bumps version(), since the caller may change
+  /// what NumericValueOf answers; fetch the reference again before
+  /// editing a dimension that has been queried since.
   Representation& RepresentationFor(CategoryTypeIndex category,
                                     std::string_view rep_name);
 
@@ -198,11 +200,13 @@ class Dimension {
   // ---- Compiled snapshots -------------------------------------------------
 
   /// Monotonically increasing total version: bumped by every mutation
-  /// that can change the value set, a membership, or the partial order
-  /// (AddValue, AddOrder — including lifespan coalescing of a repeated
-  /// edge — and the membership unions of dimension union). Compiled
-  /// rollup snapshots (engine/rollup_index.h) record the version they
-  /// were built at and are rejected once it moves.
+  /// that can change the value set, a membership, the partial order or a
+  /// representation (AddValue, AddOrder — including lifespan coalescing
+  /// of a repeated edge — the membership unions of dimension union, and
+  /// RepresentationFor). Compiled rollup snapshots
+  /// (engine/rollup_index.h), and the numeric columns they memoize,
+  /// record the version they were built at and are rejected once it
+  /// moves.
   std::uint64_t version() const { return version_; }
 
   /// Monotonically increasing *structural* version (docs/ingestion.md):

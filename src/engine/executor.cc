@@ -153,13 +153,14 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   plan_cache_hits += other.plan_cache_hits;
   aggregate_folds += other.aggregate_folds;
   rollup_patches += other.rollup_patches;
+  numeric_column_builds += other.numeric_column_builds;
   csr_tail_extends += other.csr_tail_extends;
   preagg_folds += other.preagg_folds;
   preagg_fold_invalidations += other.preagg_fold_invalidations;
 }
 
 std::string ExecStats::ToJson() const {
-  char buffer[1792];
+  char buffer[2048];
   std::snprintf(
       buffer, sizeof(buffer),
       "{\"parallel_runs\": %zu, \"sequential_fallbacks\": %zu, "
@@ -173,7 +174,8 @@ std::string ExecStats::ToJson() const {
       "\"interner_misses\": %zu, \"rewrites_applied\": %zu, "
       "\"fused_pipelines\": %zu, \"plan_fallbacks\": %zu, "
       "\"plan_cache_hits\": %zu, \"aggregate_folds\": %zu, "
-      "\"rollup_patches\": %zu, \"csr_tail_extends\": %zu, "
+      "\"rollup_patches\": %zu, \"numeric_column_builds\": %zu, "
+      "\"csr_tail_extends\": %zu, "
       "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu}",
       parallel_runs, sequential_fallbacks, partitions, tasks,
       static_cast<unsigned long long>(merge_nanos), pool_reuses,
@@ -181,8 +183,9 @@ std::string ExecStats::ToJson() const {
       index_fallbacks, dense_groupby_runs, flat_hash_runs,
       dense_slot_fallbacks, arena_bytes, arena_resets, interner_hits,
       interner_misses, rewrites_applied, fused_pipelines, plan_fallbacks,
-      plan_cache_hits, aggregate_folds, rollup_patches, csr_tail_extends,
-      preagg_folds, preagg_fold_invalidations);
+      plan_cache_hits, aggregate_folds, rollup_patches,
+      numeric_column_builds, csr_tail_extends, preagg_folds,
+      preagg_fold_invalidations);
   return buffer;
 }
 

@@ -95,9 +95,9 @@ struct ExecStats {
   /// Operations that ran the parallel partition/merge path.
   std::size_t parallel_runs = 0;
   /// Operations that wanted to parallelize but ran sequentially anyway:
-  /// aggregate formation blocked by the summarizability gate (Section
-  /// 3.4 preconditions not met), or a Join/Timeslice whose input was
-  /// below min_parallel_facts.
+  /// a Join or Timeslice whose input was below min_parallel_facts. The
+  /// group-by core never falls back — it owns each group whole, so any
+  /// function and hierarchy shape runs parallel (docs/executor.md).
   std::size_t sequential_fallbacks = 0;
   /// Hash partitions created, summed over parallel operations.
   std::size_t partitions = 0;
@@ -181,6 +181,10 @@ struct ExecStats {
   /// (dense-remap extension + CSR rebuild over the appended values)
   /// instead of a full recompile; each also counts an index_builds.
   std::size_t rollup_patches = 0;
+  /// Numeric argument columns (RollupIndex::NumericColumnAt) built for a
+  /// compiled snapshot and chronon; reuse across statements and session
+  /// views of one epoch shows as no builds.
+  std::size_t numeric_column_builds = 0;
   /// Sealed CSR by-fact span views revalidated by extending the span
   /// tail over appended entries instead of a full re-sort.
   std::size_t csr_tail_extends = 0;
@@ -232,7 +236,7 @@ struct ExecContext {
   ExecStats stats;
 
   /// True when an input of `input_size` facts/tuples should take the
-  /// parallel path (before the summarizability gate).
+  /// parallel path.
   bool WantsParallel(std::size_t input_size) const {
     return num_threads > 1 && input_size >= min_parallel_facts;
   }

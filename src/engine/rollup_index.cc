@@ -38,6 +38,35 @@ const std::uint32_t* RollupIndex::CategoryEnd(
   return category_values_.data() + category_begin_[category + 1];
 }
 
+std::shared_ptr<const NumericColumn> RollupIndex::NumericColumnAt(
+    const Dimension& dimension, Chronon at, ExecStats* stats) const {
+  // A handful of chronons covers a dashboard's ASOF/PROB AT mix without
+  // letting a sweep over many chronons grow the snapshot.
+  constexpr std::size_t kMaxColumns = 4;
+  std::lock_guard<std::mutex> lock(numeric_mutex_);
+  for (const auto& [chronon, column] : numeric_columns_) {
+    if (chronon == at) return column;
+  }
+  auto column = std::make_shared<NumericColumn>();
+  const std::uint32_t n = value_count();
+  column->value.assign(n, 0.0);
+  column->numeric.assign(n, 0);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    if (d == top_dense_) continue;  // top is unknown, never a number
+    Result<double> value = dimension.NumericValueOf(value_of_[d], at);
+    if (value.ok()) {
+      column->value[d] = *value;
+      column->numeric[d] = 1;
+    }
+  }
+  if (stats != nullptr) ++stats->numeric_column_builds;
+  if (numeric_columns_.size() == kMaxColumns) {
+    numeric_columns_.erase(numeric_columns_.begin());
+  }
+  numeric_columns_.emplace_back(at, column);
+  return column;
+}
+
 std::shared_ptr<const RollupIndex> RollupIndex::For(const Dimension& dimension,
                                                     ExecStats* stats) {
   // Publish-frozen dimensions (the MVCC serving tier, src/serve) promise

@@ -3,12 +3,27 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/dimension.h"
 #include "engine/executor.h"
 
 namespace mddc {
+
+/// The numeric interpretation (Dimension::NumericValueOf) of every value
+/// of one compiled snapshot at one chronon, indexed by dense id: the
+/// argument column SUM/AVG/MIN/MAX read in the group-by core
+/// (docs/groupby_kernel.md).
+struct NumericColumn {
+  /// Dense id -> numeric value; meaningful only where `numeric` is 1.
+  std::vector<double> value;
+  /// Dense id -> 1 when NumericValueOf succeeded. A failure keeps no
+  /// Status: the rare reader of one asks the dimension again for the
+  /// exact error text.
+  std::vector<std::uint8_t> numeric;
+};
 
 /// An immutable, compiled snapshot of one Dimension — the physical layer
 /// under the clean algebra (the "special-purpose algorithms and data
@@ -149,6 +164,20 @@ class RollupIndex {
     return flat_prob_[dense * category_count_ + category];
   }
 
+  // ---- Numeric column ----------------------------------------------------
+
+  /// The numeric column of `dimension` — which must be the dimension this
+  /// snapshot is current for (!StaleFor) — at chronon `at`. Built on the
+  /// first request per chronon and kept on the snapshot, so every copy of
+  /// the dimension at this version (every session view of one published
+  /// epoch) shares one column; a mutation bumps the version and the next
+  /// For() hands out a snapshot with no columns yet. The last few
+  /// chronons are kept. Thread-safe: concurrent first requests build
+  /// once. `stats`, when non-null, counts one numeric_column_builds per
+  /// build.
+  std::shared_ptr<const NumericColumn> NumericColumnAt(
+      const Dimension& dimension, Chronon at, ExecStats* stats) const;
+
  private:
   RollupIndex() = default;
 
@@ -201,6 +230,11 @@ class RollupIndex {
 
   std::vector<std::uint32_t> flat_ancestor_;  // value_count() * categories
   std::vector<double> flat_prob_;
+
+  /// NumericColumnAt's memo, oldest first.
+  mutable std::mutex numeric_mutex_;
+  mutable std::vector<std::pair<Chronon, std::shared_ptr<const NumericColumn>>>
+      numeric_columns_;
 };
 
 }  // namespace mddc

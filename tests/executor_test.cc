@@ -293,8 +293,9 @@ TEST(ExecutorDifferentialTest, RetailMinMaxCountByCity) {
 }
 
 TEST(ExecutorDifferentialTest, RetailAvgDegradesAndStillMatches) {
-  // AVG is not distributive, so the summarizability gate forces the
-  // sequential path — the differential contract must hold regardless.
+  // AVG is not distributive, so the result degrades to aggregation type
+  // c; the parallel core still builds every group whole, in fact order,
+  // so the bytes match the sequential run.
   RetailMo retail = BuildRetail();
   ExpectParallelMatchesSequential(
       retail.mo,
@@ -320,9 +321,9 @@ TEST(ExecutorDifferentialTest, RetailExpectedCounts) {
 }
 
 TEST(ExecutorDifferentialTest, NonStrictClinicalFallsBackAndMatches) {
-  // Non-strict family membership and mixed-granularity registrations:
-  // the parallel engine must refuse (Section 3.4) and the result must
-  // still be byte-identical.
+  // Non-strict family membership and mixed-granularity registrations fail
+  // Section 3.4, which degrades the result type but not the engine: the
+  // parallel run must still be byte-identical.
   ClinicalMo clinical = BuildClinical();
   for (CategoryTypeIndex level : {clinical.family, clinical.group}) {
     ExpectParallelMatchesSequential(
@@ -376,19 +377,26 @@ TEST(ExecutorCountersTest, StrictWorkloadRunsParallel) {
   EXPECT_GT(ctx.stats.tasks, 0u);
 }
 
-TEST(ExecutorCountersTest, NonStrictWorkloadFallsBack) {
+TEST(ExecutorCountersTest, NonStrictWorkloadRunsParallel) {
+  // The group-by core builds every group whole on one worker, so a
+  // non-strict grouping parallelizes like a strict one; only the
+  // Section 4.1 typing of the result sees the summarizability report.
   ClinicalMo clinical = BuildClinical();
-  ExecContext ctx(8, /*min_facts=*/1);
-  auto result = AggregateFormation(
-      clinical.mo,
+  const AggregateSpec spec =
       SpecFor(AggFunction::SetCount(),
-              GroupingAt(clinical.mo, clinical.diagnosis_dim,
-                         clinical.group)),
-      &ctx);
+              GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.group));
+  auto sequential = AggregateFormation(clinical.mo, spec);
+  ASSERT_TRUE(sequential.ok()) << sequential.status();
+  ExecContext ctx(8, /*min_facts=*/1);
+  auto result = AggregateFormation(clinical.mo, spec, &ctx);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(ctx.stats.parallel_runs, 0u);
-  EXPECT_GE(ctx.stats.sequential_fallbacks, 1u);
-  EXPECT_EQ(ctx.stats.partitions, 0u);
+  EXPECT_EQ(ctx.stats.parallel_runs, 1u);
+  EXPECT_EQ(ctx.stats.sequential_fallbacks, 0u);
+  EXPECT_EQ(ctx.stats.partitions, 8u);
+  auto bytes = io::WriteMo(*result);
+  auto sequential_bytes = io::WriteMo(*sequential);
+  ASSERT_TRUE(bytes.ok() && sequential_bytes.ok());
+  EXPECT_EQ(*bytes, *sequential_bytes);
 }
 
 TEST(ExecutorCountersTest, SmallInputStaysSequential) {

@@ -9,16 +9,19 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "algebra/operators.h"
 #include "common/strings.h"
+#include "core/properties.h"
 #include "engine/executor.h"
 #include "engine/rollup_index.h"
 #include "fixtures.h"
 #include "io/serialize.h"
 #include "relational/algebra.h"
+#include "serve/mo_store.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -28,12 +31,16 @@
 // ladder, exact behaviour at the slot-threshold boundary, 50x
 // byte-identity at 1/2/8 threads through the dense kernel, the fused
 // multi-function AggregateStream against one baseline formation per
-// function, the NaN-payload result-interning regression, and the
-// relational flat-hash engine against its own baseline.
+// function, parallel runs of the shapes Section 3.4 rejects (and of a
+// fold-state capture), the per-version numeric argument column, the
+// NaN-payload result-interning regression, and the relational flat-hash
+// engine against its own baseline.
 
 namespace mddc {
 namespace {
 
+using testing_fixtures::BuildDiagnosisDimension;
+using testing_fixtures::Day;
 using testing_fixtures::During;
 
 RetailMo BuildRetail(std::uint32_t seed = 7, std::size_t purchases = 300) {
@@ -381,8 +388,8 @@ TEST(GroupByKernelTest, StreamOnStrictSchemaRunsDenseAndMatchesBaseline) {
           EXPECT_EQ(stats.parallel_runs, threads > 1 ? 1u : 0u);
         });
   }
-  // AVG joins the SUM/MIN/MAX class but is not distributive, so the
-  // whole stream fails the Section 3.4 gate and runs sequentially.
+  // AVG joins the SUM/MIN/MAX class. It is not distributive, but the
+  // core never combines partials, so the stream still runs parallel.
   StreamSpec with_avg = RetailStream(retail, &keep);
   with_avg.functions.insert(with_avg.functions.begin() + 1,
                             AggFunction::Avg(retail.amount_dim));
@@ -390,8 +397,8 @@ TEST(GroupByKernelTest, StreamOnStrictSchemaRunsDenseAndMatchesBaseline) {
       retail.mo, with_avg, [](ExecContext&) {},
       [](const ExecStats& stats, std::size_t threads) {
         EXPECT_EQ(stats.dense_groupby_runs, 1u);
-        EXPECT_EQ(stats.parallel_runs, 0u);
-        EXPECT_EQ(stats.sequential_fallbacks, threads > 1 ? 1u : 0u);
+        EXPECT_EQ(stats.parallel_runs, threads > 1 ? 1u : 0u);
+        EXPECT_EQ(stats.sequential_fallbacks, 0u);
       });
 }
 
@@ -426,9 +433,10 @@ TEST(GroupByKernelTest, StreamOnNonStrictSchemaUsesFlatHashAndMatchesBaseline) {
         EXPECT_GT(stats.index_fallbacks, 0u);
         EXPECT_EQ(stats.dense_groupby_runs, 0u);
         EXPECT_EQ(stats.flat_hash_runs, 1u);
-        // Non-strict groupings fail the Section 3.4 gate.
-        EXPECT_EQ(stats.parallel_runs, 0u);
-        EXPECT_EQ(stats.sequential_fallbacks, threads > 1 ? 1u : 0u);
+        // Non-strict groupings fail Section 3.4, which decides result
+        // typing, not the engine: the stream runs parallel.
+        EXPECT_EQ(stats.parallel_runs, threads > 1 ? 1u : 0u);
+        EXPECT_EQ(stats.sequential_fallbacks, 0u);
       });
 }
 
@@ -486,6 +494,304 @@ TEST(GroupByKernelTest, StreamErrorsSurfaceInFunctionMajorOrder) {
           << "threads=" << threads;
     }
   }
+}
+
+// ---- Shapes outside Section 3.4 --------------------------------------------
+
+/// The doses of BuildDoseMo: ValueId(d) for d in 1..6.
+constexpr std::uint64_t kDoses = 6;
+
+/// Relates patient `id` of BuildDoseMo to one or two diagnoses (some
+/// only valid for a while) and one dose — two for every fourth patient.
+FactId AddDosePatient(MdObject& mo, std::uint64_t id) {
+  static constexpr std::uint64_t kDiagnoses[] = {3, 5, 6, 9, 8, 4};
+  const FactId patient = mo.registry()->Atom(id);
+  EXPECT_TRUE(mo.AddFact(patient).ok());
+  EXPECT_TRUE(mo.Relate(0, patient, ValueId(kDiagnoses[id % 6]),
+                        During("[01/01/80-NOW]"))
+                  .ok());
+  if (id % 3 == 0) {
+    EXPECT_TRUE(mo.Relate(0, patient, ValueId(kDiagnoses[(id + 1) % 6]),
+                          During("[01/06/82-31/12/95]"))
+                    .ok());
+  }
+  EXPECT_TRUE(mo.Relate(1, patient, ValueId(1 + id % kDoses)).ok());
+  if (id % 4 == 0) {
+    EXPECT_TRUE(mo.Relate(1, patient, ValueId(1 + (id + 2) % kDoses)).ok());
+  }
+  return patient;
+}
+
+/// A valid-time Patient MO over the case-study Diagnosis dimension
+/// (non-strict, temporal edges, many-to-many) and a Dose measure whose
+/// numeric representation changes on 01/01/85: dose d reads "d" before
+/// and "d.5" after, so a SUM at 1982 and one at NOW differ.
+MdObject BuildDoseMo(std::uint64_t patients) {
+  DimensionTypeBuilder builder("Dose");
+  builder.AddCategory("Dose", AggregationType::kSum);
+  Dimension dose(std::move(builder.Build()).ValueOrDie());
+  const CategoryTypeIndex bottom = dose.type().bottom();
+  Representation& rep = dose.RepresentationFor(bottom, "Value");
+  for (std::uint64_t d = 1; d <= kDoses; ++d) {
+    EXPECT_TRUE(dose.AddValue(bottom, ValueId(d)).ok());
+    EXPECT_TRUE(
+        rep.Set(ValueId(d), StrCat(d), During("[01/01/70-31/12/84]")).ok());
+    EXPECT_TRUE(
+        rep.Set(ValueId(d), StrCat(d, ".5"), During("[01/01/85-NOW]")).ok());
+  }
+  MdObject mo("Patient", {BuildDiagnosisDimension(), std::move(dose)},
+              std::make_shared<FactRegistry>(), TemporalType::kValidTime);
+  for (std::uint64_t id = 1; id <= patients; ++id) AddDosePatient(mo, id);
+  return mo;
+}
+
+/// Dose-MO grouping: diagnosis at `category`, dose at top.
+std::vector<CategoryTypeIndex> DoseGrouping(const MdObject& mo,
+                                            const char* category) {
+  return {*mo.dimension(0).type().Find(category),
+          mo.dimension(1).type().top()};
+}
+
+/// Runs `spec` through AggregateFormation at 1, 2 and 8 threads: every
+/// multi-thread run must take the parallel path and serialize exactly
+/// like the context-free formation.
+void ExpectFormationRunsParallelAndMatches(const MdObject& mo,
+                                           const AggregateSpec& spec) {
+  const std::string baseline = BaselineBytes(mo, spec);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    ExecContext ctx(threads, /*min_facts=*/1);
+    auto result = AggregateFormation(mo, spec, &ctx);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(ctx.stats.parallel_runs, threads > 1 ? 1u : 0u);
+    EXPECT_EQ(ctx.stats.sequential_fallbacks, 0u);
+    auto bytes = io::WriteMo(*result);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(*bytes, baseline) << spec.function.name()
+                                << " diverged at threads=" << threads;
+  }
+}
+
+bool Summarizable(const MdObject& mo, const AggregateSpec& spec) {
+  return CheckSummarizability(mo, spec.function.kind(), spec.grouping)
+      .summarizable;
+}
+
+TEST(GroupByKernelTest, FormationShapesOutsideSection34RunParallelAndMatch) {
+  // AVG: not distributive.
+  RetailMo retail = BuildRetail();
+  const AggregateSpec avg =
+      SpecFor(AggFunction::Avg(retail.price_dim),
+              GroupingAt(retail.mo, retail.store_dim, retail.city));
+  EXPECT_FALSE(Summarizable(retail.mo, avg));
+  ExpectFormationRunsParallelAndMatches(retail.mo, avg);
+
+  // The clinical Diagnosis Family grouping: non-strict, many-to-many,
+  // mixed-granularity registrations; then its expected counts.
+  ClinicalMo clinical = BuildClinical();
+  const std::vector<CategoryTypeIndex> family =
+      GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.family);
+  AggregateSpec expected = SpecFor(AggFunction::SetCount(), family);
+  expected.expected_counts = true;
+  for (const AggregateSpec& spec :
+       {SpecFor(AggFunction::SetCount(), family),
+        SpecFor(AggFunction::Count(clinical.diagnosis_dim), family),
+        expected}) {
+    EXPECT_FALSE(Summarizable(clinical.mo, spec));
+    ExpectFormationRunsParallelAndMatches(clinical.mo, spec);
+  }
+
+  // A temporal MO read at a chronon other than NOW.
+  const MdObject doses = BuildDoseMo(40);
+  for (const AggFunction& function :
+       {AggFunction::Sum(1), AggFunction::Avg(1), AggFunction::Min(1),
+        AggFunction::Max(1), AggFunction::Count(1), AggFunction::SetCount()}) {
+    for (const char* category : {"Diagnosis Family", "Diagnosis Group"}) {
+      AggregateSpec spec = SpecFor(function, DoseGrouping(doses, category));
+      spec.prob_at = Day("01/06/82");
+      EXPECT_FALSE(Summarizable(doses, spec));
+      ExpectFormationRunsParallelAndMatches(doses, spec);
+    }
+  }
+  AggregateSpec at_1982 =
+      SpecFor(AggFunction::Sum(1), DoseGrouping(doses, "Diagnosis Family"));
+  at_1982.prob_at = Day("01/06/82");
+  AggregateSpec at_now = at_1982;
+  at_now.prob_at = kNowChronon;
+  EXPECT_NE(BaselineBytes(doses, at_1982), BaselineBytes(doses, at_now));
+  // The snapshot now holds the 1982 column; NOW must get its own.
+  ExpectFormationRunsParallelAndMatches(doses, at_now);
+}
+
+TEST(GroupByKernelTest, ParallelCaptureFoldsAnAppendLikeTheSequentialOne) {
+  MdObject mo = BuildDoseMo(30);
+  for (const AggFunction& function :
+       {AggFunction::Sum(1), AggFunction::Min(1), AggFunction::SetCount()}) {
+    SCOPED_TRACE(function.name());
+    MdObject base = mo;
+    const AggregateSpec spec =
+        SpecFor(function, DoseGrouping(base, "Diagnosis Family"));
+    EXPECT_FALSE(Summarizable(base, spec));
+    AggregateFoldState sequential;
+    AggregateSpec capture = spec;
+    capture.capture = &sequential;
+    ASSERT_TRUE(AggregateFormation(base, capture).ok());
+    ASSERT_TRUE(sequential.valid);
+    std::vector<AggregateFoldState> parallel(3);
+    const std::size_t thread_counts[] = {1, 2, 8};
+    for (std::size_t t = 0; t < 3; ++t) {
+      ExecContext ctx(thread_counts[t], /*min_facts=*/1);
+      capture.capture = &parallel[t];
+      ASSERT_TRUE(AggregateFormation(base, capture, &ctx).ok());
+      EXPECT_EQ(ctx.stats.parallel_runs, thread_counts[t] > 1 ? 1u : 0u);
+      ASSERT_TRUE(parallel[t].valid);
+    }
+
+    std::vector<FactId> delta;
+    for (std::uint64_t id = 31; id <= 36; ++id) {
+      delta.push_back(AddDosePatient(base, id));
+    }
+    const std::string scratch = BaselineBytes(base, spec);
+    auto folded = FoldAggregateAppend(base, spec, sequential, delta);
+    ASSERT_TRUE(folded.ok()) << folded.status();
+    const std::string sequential_fold = *io::WriteMo(*folded);
+    EXPECT_EQ(sequential_fold, scratch);
+    for (std::size_t t = 0; t < 3; ++t) {
+      auto from_parallel = FoldAggregateAppend(base, spec, parallel[t], delta);
+      ASSERT_TRUE(from_parallel.ok()) << from_parallel.status();
+      EXPECT_EQ(*io::WriteMo(*from_parallel), sequential_fold)
+          << "capture at threads=" << thread_counts[t] << " folds differently";
+    }
+  }
+}
+
+// ---- Numeric argument column ------------------------------------------------
+
+TEST(GroupByKernelTest, NumericColumnFollowsTheDimensionVersion) {
+  MdObject mo = BuildDoseMo(20);
+  const AggregateSpec spec =
+      SpecFor(AggFunction::Sum(1), DoseGrouping(mo, "Diagnosis Group"));
+  // Runs `spec` under a 2-thread context against the context-free
+  // formation and returns the numeric columns the run built.
+  const auto run = [&]() -> std::size_t {
+    ExecContext ctx(2, /*min_facts=*/1);
+    auto result = AggregateFormation(mo, spec, &ctx);
+    auto baseline = AggregateFormation(mo, spec);
+    EXPECT_EQ(result.ok(), baseline.ok());
+    if (!result.ok() || !baseline.ok()) {
+      EXPECT_EQ(result.status().ToString(), baseline.status().ToString());
+    } else {
+      EXPECT_EQ(*io::WriteMo(*result), *io::WriteMo(*baseline));
+    }
+    return ctx.stats.numeric_column_builds;
+  };
+  EXPECT_EQ(run(), 1u);
+  EXPECT_EQ(run(), 0u) << "the column is memoized on the snapshot";
+  const std::string before = BaselineBytes(mo, spec);
+
+  // An append: a fresh dose with its own number, and a patient taking it.
+  Dimension& dose = mo.dimension_mutable(1);
+  const CategoryTypeIndex bottom = dose.type().bottom();
+  ASSERT_TRUE(dose.AddValue(bottom, ValueId(7)).ok());
+  ASSERT_TRUE(dose.RepresentationFor(bottom, "Value").Set(ValueId(7), "70").ok());
+  const FactId taker = mo.registry()->Atom(21);
+  ASSERT_TRUE(mo.AddFact(taker).ok());
+  ASSERT_TRUE(mo.Relate(0, taker, ValueId(5)).ok());
+  ASSERT_TRUE(mo.Relate(1, taker, ValueId(7)).ok());
+  EXPECT_EQ(run(), 1u);
+  EXPECT_NE(BaselineBytes(mo, spec), before);
+
+  // A dose with no number yet fails the SUM; giving it one through
+  // RepresentationFor moves the version, so the next run sees it.
+  ASSERT_TRUE(dose.AddValue(bottom, ValueId(8)).ok());
+  ASSERT_TRUE(mo.Relate(1, taker, ValueId(8)).ok());
+  EXPECT_EQ(run(), 1u);
+  ASSERT_FALSE(AggregateFormation(mo, spec).ok());
+  ASSERT_TRUE(dose.RepresentationFor(bottom, "Value").Set(ValueId(8), "80").ok());
+  EXPECT_EQ(run(), 1u);
+  EXPECT_TRUE(AggregateFormation(mo, spec).ok());
+}
+
+TEST(GroupByKernelTest, NonNumericArgumentKeepsStatusAndFunctionMajorPlace) {
+  // Dose 9 has a number only before 1985: at NOW the SUM over doses is
+  // the first function to fail (MIN shares its class); at 1982 both
+  // succeed and the SUM over diagnosis codes fails instead.
+  MdObject mo = BuildDoseMo(24);
+  Dimension& dose = mo.dimension_mutable(1);
+  const CategoryTypeIndex bottom = dose.type().bottom();
+  ASSERT_TRUE(dose.AddValue(bottom, ValueId(9)).ok());
+  ASSERT_TRUE(dose.RepresentationFor(bottom, "Value")
+                  .Set(ValueId(9), "9", During("[01/01/70-31/12/84]"))
+                  .ok());
+  const FactId taker = mo.registry()->Atom(25);
+  ASSERT_TRUE(mo.AddFact(taker).ok());
+  ASSERT_TRUE(mo.Relate(0, taker, ValueId(9)).ok());
+  ASSERT_TRUE(mo.Relate(1, taker, ValueId(9)).ok());
+
+  StreamSpec spec;
+  spec.functions = {AggFunction::Count(1), AggFunction::Sum(1),
+                    AggFunction::Min(1), AggFunction::Sum(0)};
+  spec.grouping = DoseGrouping(mo, "Diagnosis Family");
+  spec.enforce_aggregation_types = false;
+  std::vector<std::string> texts;
+  for (Chronon at : {kNowChronon, Day("01/06/82")}) {
+    spec.prob_at = at;
+    const Status expected = FirstBaselineError(mo, spec);
+    ASSERT_FALSE(expected.ok());
+    texts.push_back(expected.ToString());
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      ExecContext ctx(threads, /*min_facts=*/1);
+      auto groups = AggregateStream(mo, spec, &ctx);
+      ASSERT_FALSE(groups.ok());
+      EXPECT_EQ(groups.status().ToString(), expected.ToString())
+          << "threads=" << threads;
+    }
+  }
+  EXPECT_NE(texts[0], texts[1]);
+}
+
+TEST(GroupByKernelTest, SessionViewsOfOneEpochBuildTheNumericColumnOnce) {
+  RetailMo retail = BuildRetail();
+  StreamSpec spec;
+  spec.functions = {AggFunction::Sum(retail.amount_dim),
+                    AggFunction::Avg(retail.price_dim)};
+  spec.grouping = GroupingAt(retail.mo, retail.product_dim, retail.category);
+  serve::MoStore store;
+  ASSERT_TRUE(store.Publish("retail", std::move(retail.mo)).ok());
+  const std::shared_ptr<const serve::MoSnapshot> snapshot = store.Pin();
+  const MdObject& published = snapshot->Find("retail")->mo();
+
+  // Two sessions' private views of the epoch, read concurrently.
+  std::vector<MdObject> views;
+  for (int v = 0; v < 2; ++v) {
+    views.push_back(
+        published.WithRegistry(FactRegistry::ForkOf(published.registry())));
+  }
+  ExecContext first(2, /*min_facts=*/1);
+  ExecContext second(2, /*min_facts=*/1);
+  ExecContext* contexts[] = {&first, &second};
+  std::vector<Result<std::vector<StreamGroup>>> results(
+      2, Status::NotImplemented("not run"));
+  {
+    std::vector<std::jthread> readers;
+    for (std::size_t v = 0; v < 2; ++v) {
+      readers.emplace_back([&, v] {
+        results[v] = AggregateStream(views[v], spec, contexts[v]);
+      });
+    }
+  }
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+  ASSERT_TRUE(results[1].ok()) << results[1].status();
+  ASSERT_EQ(results[0]->size(), results[1]->size());
+  for (std::size_t g = 0; g < results[0]->size(); ++g) {
+    EXPECT_EQ((*results[0])[g].values, (*results[1])[g].values);
+  }
+  // One column per argument dimension (amount, price) for the epoch, no
+  // matter which view asked first; the snapshots were compiled at
+  // publication.
+  EXPECT_EQ(first.stats.numeric_column_builds +
+                second.stats.numeric_column_builds,
+            2u);
+  EXPECT_EQ(first.stats.index_builds + second.stats.index_builds, 0u);
 }
 
 // ---- Result-value interning regression ------------------------------------
