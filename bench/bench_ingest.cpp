@@ -9,12 +9,17 @@
 //
 //   $ ./bench/bench_ingest
 //
-// Sweeps fact scale (10^5..10^6); MDDC_SWEEP_MAX_FACTS caps the largest
-// point (default 1000000). MDDC_INGEST_BATCHES and
-// MDDC_INGEST_BATCH_FACTS override the stream shape (default 6 batches
-// of 400 facts). At the 10^6-fact point the bench *asserts* the >= 3x
-// speedup acceptance gate and exits nonzero below it. Results go to
-// stdout and BENCH_ingest.json.
+// Sweeps fact scale (10^5..10^6) and two batch shapes: "existing" facts
+// over existing leaf values only (the dimensions never change, so no
+// rollup snapshot is patched) and "fresh-leaf", where every batch also
+// appends fresh low-level diagnoses under existing families, each with a
+// new fact — the shape that times the rollup patch (ancestor runs and
+// flat table). MDDC_SWEEP_MAX_FACTS caps the largest point (default
+// 1000000). MDDC_INGEST_BATCHES and MDDC_INGEST_BATCH_FACTS override the
+// stream size (default 6 batches of 400 facts). At the 10^6-fact point
+// the bench *asserts* the >= 3x speedup acceptance gate on the
+// "existing" shape and exits nonzero below it. Results go to stdout and
+// BENCH_ingest.json.
 
 #include <chrono>
 #include <cstdio>
@@ -107,6 +112,39 @@ std::vector<std::string> BuildStream(const ClinicalWorkloadParams& params,
   return stream;
 }
 
+/// The batch shapes of the sweep (see the header comment).
+enum class Shape { kExistingLeaves, kFreshLeaves };
+
+const char* ShapeName(Shape shape) {
+  return shape == Shape::kExistingLeaves ? "existing" : "fresh-leaf";
+}
+
+/// Fresh low-level diagnoses (one new fact each) a fresh-leaf batch adds.
+constexpr std::size_t kFreshLeavesPerBatch = 8;
+
+/// Appends batch `batch`'s fresh leaves: AddValueAuto keeps each one an
+/// append (and the batch on the AppendBatch fast path); both modes run
+/// the same calls on the same drafts, so the auto ids agree.
+Status AppendFreshLeaves(const ClinicalMo& clinical, std::size_t batch,
+                         MdObject& draft) {
+  Dimension& diagnosis = draft.dimension_mutable(clinical.diagnosis_dim);
+  const std::vector<ValueId> families = diagnosis.ValuesIn(clinical.family);
+  const std::vector<ValueId> areas =
+      draft.dimension(clinical.residence_dim).ValuesIn(clinical.area);
+  for (std::size_t k = 0; k < kFreshLeavesPerBatch; ++k) {
+    const std::size_t n = batch * kFreshLeavesPerBatch + k;
+    MDDC_ASSIGN_OR_RETURN(const ValueId leaf,
+                          diagnosis.AddValueAuto(clinical.low_level));
+    MDDC_RETURN_NOT_OK(diagnosis.AddOrder(leaf, families[n % families.size()]));
+    const FactId fact = draft.registry()->Atom(96000000 + n);
+    MDDC_RETURN_NOT_OK(draft.AddFact(fact));
+    MDDC_RETURN_NOT_OK(draft.Relate(clinical.diagnosis_dim, fact, leaf));
+    MDDC_RETURN_NOT_OK(draft.Relate(clinical.residence_dim, fact,
+                                    areas[n % areas.size()]));
+  }
+  return Status::OK();
+}
+
 struct ModeResult {
   double seal_seconds = 0.0;          ///< publish time across all batches
   std::vector<std::string> rendered;  ///< read set after every batch
@@ -117,7 +155,7 @@ struct ModeResult {
 
 /// Runs the whole stream in one mode. Only the publish calls are timed;
 /// the interleaved reads are rendered for the identity gate.
-ModeResult RunMode(bool incremental, const ClinicalMo& clinical,
+ModeResult RunMode(bool incremental, Shape shape, const ClinicalMo& clinical,
                    const std::vector<std::string>& stream,
                    const std::vector<CategoryTypeIndex>& grouping) {
   MdObject seed = clinical.mo;
@@ -128,14 +166,16 @@ ModeResult RunMode(bool incremental, const ClinicalMo& clinical,
         "warm aggregate");
 
   ModeResult result;
-  for (const std::string& statement : stream) {
-    auto parsed = mdql::Parse(statement);
+  for (std::size_t batch = 0; batch < stream.size(); ++batch) {
+    auto parsed = mdql::Parse(stream[batch]);
     if (!parsed.ok() || !parsed->insert.has_value()) {
       std::fprintf(stderr, "bad batch statement\n");
       std::exit(1);
     }
-    auto appender = [&parsed](MdObject& draft) -> Status {
-      return mdql::ApplyInsert(draft, *parsed->insert).status();
+    auto appender = [&, batch](MdObject& draft) -> Status {
+      MDDC_RETURN_NOT_OK(mdql::ApplyInsert(draft, *parsed->insert).status());
+      if (shape == Shape::kExistingLeaves) return Status::OK();
+      return AppendFreshLeaves(clinical, batch, draft);
     };
     const auto start = std::chrono::steady_clock::now();
     if (incremental) {
@@ -168,6 +208,7 @@ ModeResult RunMode(bool incremental, const ClinicalMo& clinical,
 
 struct SweepRow {
   std::size_t facts = 0;
+  Shape shape = Shape::kExistingLeaves;
   std::size_t batches = 0;
   std::size_t batch_facts = 0;
   double incremental_seconds = 0.0;
@@ -193,12 +234,14 @@ void WriteJson(const std::vector<SweepRow>& rows, const char* path) {
     const SweepRow& r = rows[i];
     std::fprintf(
         out,
-        "    {\"facts\": %zu, \"batches\": %zu, \"batch_facts\": %zu, "
+        "    {\"facts\": %zu, \"shape\": \"%s\", \"batches\": %zu, "
+        "\"batch_facts\": %zu, "
         "\"incremental_seconds\": %.4f, \"rebuild_seconds\": %.4f, "
         "\"speedup\": %.2f, \"csr_tail_extends\": %llu, "
         "\"rollup_patches\": %llu, \"preagg_folds\": %llu, "
         "\"fold_invalidations\": %llu}%s\n",
-        r.facts, r.batches, r.batch_facts, r.incremental_seconds,
+        r.facts, ShapeName(r.shape), r.batches, r.batch_facts,
+        r.incremental_seconds,
         r.rebuild_seconds, r.speedup,
         static_cast<unsigned long long>(r.csr_tail_extends),
         static_cast<unsigned long long>(r.rollup_patches),
@@ -246,62 +289,68 @@ int main() {
     const std::vector<std::string> stream =
         BuildStream(params, clinical, batches, batch_facts);
 
-    ModeResult inc = RunMode(/*incremental=*/true, clinical, stream, grouping);
-    ModeResult full =
-        RunMode(/*incremental=*/false, clinical, stream, grouping);
+    for (Shape shape : {Shape::kExistingLeaves, Shape::kFreshLeaves}) {
+      ModeResult inc =
+          RunMode(/*incremental=*/true, shape, clinical, stream, grouping);
+      ModeResult full =
+          RunMode(/*incremental=*/false, shape, clinical, stream, grouping);
 
-    // Bit-identity gate: every interleaved read must render the same
-    // bytes in both modes — a fast path that diverges is a bug, not a
-    // speedup.
-    if (inc.rendered != full.rendered) {
-      std::fprintf(stderr,
-                   "bit-identity gate FAILED at %zu facts: incremental and "
-                   "rebuild modes rendered different bytes\n",
-                   facts);
-      return 1;
-    }
-    if (inc.append_fallbacks != 0 || inc.append_batches != batches) {
-      std::fprintf(stderr,
-                   "append path gate FAILED at %zu facts: %llu of %zu "
-                   "batches took the fast path (%llu fallbacks)\n",
-                   facts,
-                   static_cast<unsigned long long>(inc.append_batches),
-                   batches,
-                   static_cast<unsigned long long>(inc.append_fallbacks));
-      return 1;
-    }
+      // Bit-identity gate: every interleaved read must render the same
+      // bytes in both modes — a fast path that diverges is a bug, not a
+      // speedup.
+      if (inc.rendered != full.rendered) {
+        std::fprintf(stderr,
+                     "bit-identity gate FAILED at %zu facts (%s): incremental "
+                     "and rebuild modes rendered different bytes\n",
+                     facts, ShapeName(shape));
+        return 1;
+      }
+      if (inc.append_fallbacks != 0 || inc.append_batches != batches) {
+        std::fprintf(stderr,
+                     "append path gate FAILED at %zu facts (%s): %llu of %zu "
+                     "batches took the fast path (%llu fallbacks)\n",
+                     facts, ShapeName(shape),
+                     static_cast<unsigned long long>(inc.append_batches),
+                     batches,
+                     static_cast<unsigned long long>(inc.append_fallbacks));
+        return 1;
+      }
 
-    SweepRow row;
-    row.facts = facts;
-    row.batches = batches;
-    row.batch_facts = batch_facts;
-    row.incremental_seconds = inc.seal_seconds;
-    row.rebuild_seconds = full.seal_seconds;
-    row.speedup = inc.seal_seconds > 0.0
-                      ? full.seal_seconds / inc.seal_seconds
-                      : 0.0;
-    row.csr_tail_extends = inc.seal_stats.csr_tail_extends;
-    row.rollup_patches = inc.seal_stats.rollup_patches;
-    row.preagg_folds = inc.seal_stats.preagg_folds;
-    row.fold_invalidations = inc.seal_stats.preagg_fold_invalidations;
-    rows.push_back(row);
+      SweepRow row;
+      row.facts = facts;
+      row.shape = shape;
+      row.batches = batches;
+      row.batch_facts = batch_facts;
+      row.incremental_seconds = inc.seal_seconds;
+      row.rebuild_seconds = full.seal_seconds;
+      row.speedup = inc.seal_seconds > 0.0
+                        ? full.seal_seconds / inc.seal_seconds
+                        : 0.0;
+      row.csr_tail_extends = inc.seal_stats.csr_tail_extends;
+      row.rollup_patches = inc.seal_stats.rollup_patches;
+      row.preagg_folds = inc.seal_stats.preagg_folds;
+      row.fold_invalidations = inc.seal_stats.preagg_fold_invalidations;
+      rows.push_back(row);
 
-    std::printf(
-        "facts=%zu batches=%zu x %zu: incremental %.3fs, rebuild %.3fs, "
-        "speedup %.1fx (tail_extends=%llu patches=%llu folds=%llu)\n",
-        facts, batches, batch_facts, row.incremental_seconds,
-        row.rebuild_seconds, row.speedup,
-        static_cast<unsigned long long>(row.csr_tail_extends),
-        static_cast<unsigned long long>(row.rollup_patches),
-        static_cast<unsigned long long>(row.preagg_folds));
-    std::fflush(stdout);
+      std::printf(
+          "facts=%zu %s batches=%zu x %zu: incremental %.3fs, rebuild "
+          "%.3fs, speedup %.1fx (tail_extends=%llu patches=%llu "
+          "folds=%llu)\n",
+          facts, ShapeName(shape), batches, batch_facts,
+          row.incremental_seconds, row.rebuild_seconds, row.speedup,
+          static_cast<unsigned long long>(row.csr_tail_extends),
+          static_cast<unsigned long long>(row.rollup_patches),
+          static_cast<unsigned long long>(row.preagg_folds));
+      std::fflush(stdout);
 
-    // The acceptance gate: >= 3x at the 10^6-fact point.
-    if (facts >= 1000000 && row.speedup < 3.0) {
-      std::fprintf(stderr,
-                   "speedup gate FAILED: %.2fx < 3x at %zu facts\n",
-                   row.speedup, facts);
-      gate_failed = true;
+      // The acceptance gate: >= 3x at the 10^6-fact point.
+      if (shape == Shape::kExistingLeaves && facts >= 1000000 &&
+          row.speedup < 3.0) {
+        std::fprintf(stderr,
+                     "speedup gate FAILED: %.2fx < 3x at %zu facts\n",
+                     row.speedup, facts);
+        gate_failed = true;
+      }
     }
   }
 

@@ -69,10 +69,10 @@ Result<MdObject> Select(const MdObject& mo, const Predicate& predicate) {
   MdObject result(mo.schema().fact_type(), std::move(dimensions),
                   mo.registry(), mo.temporal_type());
 
+  MDDC_ASSIGN_OR_RETURN(auto matches, predicate.EvaluateAll(mo));
   std::vector<FactId> kept;
-  for (FactId fact : mo.facts()) {
-    MDDC_ASSIGN_OR_RETURN(bool matches, predicate.Evaluate(mo, fact));
-    if (matches) kept.push_back(fact);
+  for (std::size_t f = 0; f < matches.size(); ++f) {
+    if (matches[f]) kept.push_back(mo.facts()[f]);
   }
   for (FactId fact : kept) MDDC_RETURN_NOT_OK(result.AddFact(fact));
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
@@ -450,9 +450,9 @@ AggregationType ResultBottomAggType(const MdObject& mo,
 
 /// Per fact and dimension: the grouping-category values characterizing
 /// the fact, with lifespans and probabilities. `dense` is the value's
-/// dense id in the dimension's rollup snapshot, set on the indexed path
-/// only — the group-by core's dense engine turns it into a slot digit
-/// with one array read.
+/// dense id in the dimension's rollup snapshot, set whenever a snapshot
+/// resolved the coordinate — the group-by core's dense engine turns it
+/// into a slot digit with one array read.
 struct Coordinate {
   ValueId value;
   /// nullopt means AlwaysSpan — the attachment of nontemporal data. The
@@ -478,7 +478,8 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
 /// relation's CSR by-fact view (FactDimRelation::FactSpans) in lockstep
 /// with the fact list — a pointer sweep over two sorted flat arrays, no
 /// per-fact lookups at all.
-using FactEntryLists = std::vector<std::vector<FactDimRelation::EntrySpan>>;
+using EntrySpan = FactDimRelation::EntrySpan;
+using FactEntryLists = std::vector<std::vector<EntrySpan>>;
 
 /// Builds the per-fact entry lists for the `wanted` dimensions: one
 /// lockstep walk of each relation's by-fact tree against the MO's sorted
@@ -490,7 +491,7 @@ FactEntryLists BuildFactEntryLists(const MdObject& mo,
   FactEntryLists fact_entries(mo.dimension_count());
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
     if (!wanted[i]) continue;
-    fact_entries[i].assign(facts.size(), FactDimRelation::EntrySpan{});
+    fact_entries[i].assign(facts.size(), EntrySpan{});
     const FactDimRelation& relation = mo.relation(i);
     const std::vector<FactDimRelation::FactSpan>& spans =
         relation.FactSpans();
@@ -500,8 +501,8 @@ FactEntryLists BuildFactEntryLists(const MdObject& mo,
       while (f < facts.size() && facts[f] < span.fact) ++f;
       if (f == facts.size()) break;
       if (facts[f] == span.fact) {
-        fact_entries[i][f] = FactDimRelation::EntrySpan{
-            base + span.begin, span.end - span.begin};
+        fact_entries[i][f] =
+            EntrySpan{base + span.begin, span.end - span.begin};
       }
     }
   }
@@ -514,65 +515,58 @@ FactEntryLists BuildFactEntryLists(const MdObject& mo,
 using CoordList = ArenaVec<Coordinate>;
 using CoordLists = ArenaVec<CoordList>;
 
-/// The shared per-dimension coordinate body of GroupingCoordinates and
-/// the group-by core: appends `fact`'s coordinates in `category` of
-/// dimension `i` to `list`. Read-only on the MO (given warmed closure
-/// memos), so facts fan out in parallel.
+/// The one coordinate body of the group-by core and the append fold:
+/// appends the coordinates in `category` of the fact whose relation
+/// entries are `entries` to `list`, read from the dimension's compiled
+/// snapshot `index`. Read-only, so facts fan out in parallel.
 ///
-/// With a compiled `index` the flat table replaces the full
-/// characterization scan: per relation entry, the unique ancestor at the
-/// grouping category is one array lookup. Under the snapshot's gate every
-/// closure lifespan is Always, so the coordinate lifespan is the entry
-/// lifespan and the probability the entry probability times the closure
-/// probability — accumulated per coordinate value in entry order with the
-/// same union/noisy-or CharacterizedBy applies, and kept sorted by
-/// ValueId (a linear insertion — coordinate lists are tiny) like the
-/// filtered characterization list. The two paths are therefore
-/// bit-identical; without an index the memoized characterization scan
-/// runs. `span`, when non-null, is the fact's precomputed CSR entry run
-/// (indexed path only).
-void AppendDimCoordinates(const MdObject& mo, std::size_t i,
-                          CategoryTypeIndex category, Chronon prob_at,
-                          const RollupIndex* index, FactId fact,
-                          const FactDimRelation::EntrySpan* span,
+/// Per entry, a flat table (strict, non-temporal hierarchies) names the
+/// unique ancestor at the category with one lookup; otherwise the entry
+/// value itself counts when it lies in the category, and so does every
+/// containment of its ancestor run there, at the intersected lifespan and
+/// multiplied probability, empty lifespans skipped. Contributions fold
+/// per coordinate value in encounter order with the union/noisy-or
+/// MdObject::CharacterizedBy applies — the order it meets them in too —
+/// into a list kept sorted by ValueId (a linear insertion; coordinate
+/// lists are tiny) like the filtered characterization list, so every path
+/// is bit-identical to the context-free reference in GroupingCoordinates.
+void AppendDimCoordinates(const FactDimRelation& relation,
+                          const RollupIndex& index, CategoryTypeIndex category,
+                          const EntrySpan& entries,
                           CoordList& list) {
-  const Dimension& dimension = mo.dimension(i);
-  if (index != nullptr) {
-    const FactDimRelation& relation = mo.relation(i);
-    const FactDimRelation::EntrySpan entry_list =
-        span == nullptr ? FactDimRelation::EntrySpan::Of(
-                              relation.EntryIndexesForFact(fact))
-                        : *span;
-    for (std::size_t e : entry_list) {
-      const FactDimRelation::Entry& entry = relation.entries()[e];
-      const std::uint32_t dense = index->DenseOf(entry.value);
-      if (dense == RollupIndex::kNone) continue;
-      const std::uint32_t ancestor = index->AncestorAt(dense, category);
-      if (ancestor == RollupIndex::kNone) continue;
-      const double prob =
-          entry.prob * index->AncestorProbAt(dense, category);
-      const ValueId value = index->ValueOf(ancestor);
-      auto it = std::lower_bound(
-          list.begin(), list.end(), value,
-          [](const Coordinate& c, ValueId v) { return c.value < v; });
-      if (it != list.end() && it->value == value) {
-        // Always (nullopt) is absorbing under component-wise Union.
-        if (it->life.has_value()) {
-          it->life = OptLife(it->life->Union(entry.life));
-        }
-        it->prob = 1.0 - (1.0 - it->prob) * (1.0 - prob);
-      } else {
-        list.insert(it,
-                    Coordinate{value, OptLife(entry.life), prob, ancestor});
-      }
+  const auto add = [&](std::uint32_t dense, const Lifespan& life,
+                       double prob) {
+    const ValueId value = index.ValueOf(dense);
+    auto it = std::lower_bound(
+        list.begin(), list.end(), value,
+        [](const Coordinate& c, ValueId v) { return c.value < v; });
+    if (it != list.end() && it->value == value) {
+      // Always (nullopt) is absorbing under component-wise Union.
+      if (it->life.has_value()) it->life = OptLife(it->life->Union(life));
+      it->prob = 1.0 - (1.0 - it->prob) * (1.0 - prob);
+    } else {
+      list.insert(it, Coordinate{value, OptLife(life), prob, dense});
     }
-  } else {
-    for (const MdObject::Characterization& c :
-         mo.CharacterizedBy(fact, i, prob_at)) {
-      auto value_category = dimension.CategoryOf(c.value);
-      if (value_category.ok() && *value_category == category) {
-        list.push_back(Coordinate{c.value, OptLife(c.life), c.prob});
-      }
+  };
+  for (std::size_t e : entries) {
+    const FactDimRelation::Entry& entry = relation.entries()[e];
+    const std::uint32_t dense = index.DenseOf(entry.value);
+    if (dense == RollupIndex::kNone) continue;
+    if (index.has_flat_table()) {
+      const std::uint32_t ancestor = index.AncestorAt(dense, category);
+      if (ancestor == RollupIndex::kNone) continue;
+      add(ancestor, entry.life,
+          entry.prob * index.AncestorProbAt(dense, category));
+      continue;
+    }
+    if (entry.life.Empty()) continue;
+    if (index.CategoryOfDense(dense) == category) {
+      add(dense, entry.life, entry.prob);
+    }
+    for (const RollupIndex::RunEntry* c = index.RunBegin(dense, category);
+         c != index.RunEnd(dense, category); ++c) {
+      const Lifespan life = index.RunIntersect(entry.life, *c);
+      if (!life.Empty()) add(c->ancestor, life, entry.prob * c->prob);
     }
   }
 }
@@ -582,7 +576,8 @@ void AppendDimCoordinates(const MdObject& mo, std::size_t i,
 /// dimension has none (the fact then joins no group): the input of the
 /// ordered-map baseline and of FoldAggregateAppend's delta scan.
 /// `indexes` (empty, or one slot per dimension) carries compiled rollup
-/// snapshots for AppendDimCoordinates.
+/// snapshots for AppendDimCoordinates; a dimension without one takes the
+/// context-free reference, MdObject::CharacterizedBy filtered by category.
 std::optional<CoordLists> GroupingCoordinates(
     const MdObject& mo, const AggregateSpec& spec, FactId fact,
     const std::vector<std::shared_ptr<const RollupIndex>>& indexes,
@@ -600,10 +595,20 @@ std::optional<CoordLists> GroupingCoordinates(
           Coordinate{dimension.top_value(), std::nullopt, 1.0});
       continue;
     }
-    const RollupIndex* index =
-        i < indexes.size() ? indexes[i].get() : nullptr;
-    AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index, fact,
-                         nullptr, per_dim[i]);
+    const FactDimRelation& relation = mo.relation(i);
+    if (i < indexes.size() && indexes[i] != nullptr) {
+      AppendDimCoordinates(relation, *indexes[i], spec.grouping[i],
+                           EntrySpan::Of(relation.EntryIndexesForFact(fact)),
+                           per_dim[i]);
+    } else {
+      for (const MdObject::Characterization& c :
+           mo.CharacterizedBy(fact, i, spec.prob_at)) {
+        auto category = dimension.CategoryOf(c.value);
+        if (category.ok() && *category == spec.grouping[i]) {
+          per_dim[i].push_back(Coordinate{c.value, OptLife(c.life), c.prob});
+        }
+      }
+    }
     if (per_dim[i].empty()) return std::nullopt;
   }
   return per_dim;
@@ -763,17 +768,16 @@ FactContribution ContributionOf(const MdObject& mo,
                                 std::size_t fact_ordinal,
                                 const NumericArg* numeric, Arena* arena) {
   FactContribution c(arena);
-  const auto entry_list = [&](std::size_t dim) -> FactDimRelation::EntrySpan {
+  const auto entry_list = [&](std::size_t dim) -> EntrySpan {
     if (fact_entries == nullptr) {
-      return FactDimRelation::EntrySpan::Of(
-          mo.relation(dim).EntryIndexesForFact(fact));
+      return EntrySpan::Of(mo.relation(dim).EntryIndexesForFact(fact));
     }
     return (*fact_entries)[dim][fact_ordinal];
   };
   for (std::size_t dim : function.args()) {
     if (dim >= mo.dimension_count()) continue;
     const FactDimRelation& relation = mo.relation(dim);
-    const FactDimRelation::EntrySpan list = entry_list(dim);
+    const EntrySpan list = entry_list(dim);
     // Fast path for nontemporal data: a nonempty union of Always spans is
     // Always, and intersecting with Always is the identity.
     bool all_always = !list.empty();
@@ -833,7 +837,7 @@ struct GroupPlan {
   std::vector<CategoryTypeIndex> grouping;
   /// Live dimension indexes, ascending.
   std::vector<std::size_t> live;
-  /// Per dimension: the snapshot whose flat table is usable, else null.
+  /// Per dimension: the compiled snapshot of a live axis, else null.
   std::vector<std::shared_ptr<const RollupIndex>> indexes;
   /// kNotIndexed when some live axis has no flat table.
   DenseSlotSpace::Plan verdict = DenseSlotSpace::Plan::kNotIndexed;
@@ -841,11 +845,12 @@ struct GroupPlan {
   DenseSlotSpace space;
 };
 
-/// The one planning step of every group-by. A dimension whose snapshot
-/// fails the strictness/non-temporal gate keeps the memoized traversal —
-/// results are bit-identical either way, only the walk differs. `stats`
-/// (null for EXPLAIN, which must not perturb counters) counts index
-/// builds, hits and fallbacks.
+/// The one planning step of every group-by. Every live axis reads its
+/// snapshot; one whose flat-table gate fails resolves coordinates through
+/// its ancestor runs and keeps the scan on the flat-hash engine — results
+/// are bit-identical either way. `stats` (null for EXPLAIN, which must
+/// not perturb counters) counts index builds and the flat-table verdicts
+/// as hits and fallbacks.
 GroupPlan PlanGroupBy(const MdObject& mo,
                       const std::vector<CategoryTypeIndex>& grouping,
                       std::uint64_t max_slots, ExecStats* stats) {
@@ -862,12 +867,12 @@ GroupPlan PlanGroupBy(const MdObject& mo,
         RollupIndex::For(mo.dimension(i), stats);
     if (index->has_flat_table()) {
       axes.push_back({index.get(), grouping[i]});
-      plan.indexes[i] = std::move(index);
       if (stats != nullptr) ++stats->index_hits;
     } else {
       all_indexed = false;
       if (stats != nullptr) ++stats->index_fallbacks;
     }
+    plan.indexes[i] = std::move(index);
   }
   if (all_indexed) {
     plan.verdict = DenseSlotSpace::Build(axes, max_slots, &plan.space);
@@ -1026,24 +1031,21 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
     exec->stats.tasks += chunks;
   };
 
-  // 1. Per-fact entry lists for the indexed live axes and the classes'
-  //    argument dimensions: one lockstep walk of each relation's by-fact
-  //    view against the sorted fact vector replaces one lookup per (fact,
+  // 1. Per-fact entry lists for the live axes and the classes' argument
+  //    dimensions: one lockstep walk of each relation's by-fact view
+  //    against the sorted fact vector replaces one lookup per (fact,
   //    dimension) below.
   std::vector<bool> wanted(mo.dimension_count(), false);
-  for (std::size_t i : live) wanted[i] = plan.indexes[i] != nullptr;
+  for (std::size_t i : live) wanted[i] = true;
   for (const AggFunction& function : request.classes) {
     wanted[function.args().front()] = true;
   }
   const FactEntryLists fact_entries = BuildFactEntryLists(mo, wanted);
 
-  // 2. Live coordinates per kept fact, in fact order. A fact with an
-  //    empty list on some axis joins no group, and a false keep entry is
-  //    skipped outright — selection pushdown without the materialized
-  //    Select. Closure memos are warmed first so workers only read.
-  if (parallel) {
-    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
-  }
+  // 2. Live coordinates per kept fact, in fact order, read from the
+  //    immutable snapshots only. A fact with an empty list on some axis
+  //    joins no group, and a false keep entry is skipped outright —
+  //    selection pushdown without the materialized Select.
   std::vector<std::optional<CoordLists>> coords(facts.size());
   const auto live_coords = [&](std::size_t f,
                                Arena* arena) -> std::optional<CoordLists> {
@@ -1054,11 +1056,8 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
     }
     for (std::size_t j = 0; j < nl; ++j) {
       const std::size_t i = live[j];
-      const RollupIndex* index = plan.indexes[i].get();
-      AppendDimCoordinates(mo, i, plan.grouping[i], request.prob_at, index,
-                           facts[f],
-                           index != nullptr ? &fact_entries[i][f] : nullptr,
-                           per_axis[j]);
+      AppendDimCoordinates(mo.relation(i), *plan.indexes[i], plan.grouping[i],
+                           fact_entries[i][f], per_axis[j]);
       if (per_axis[j].empty()) return std::nullopt;
     }
     return per_axis;

@@ -1,6 +1,7 @@
 #include "algebra/predicate.h"
 
 #include "common/strings.h"
+#include "engine/rollup_index.h"
 
 namespace mddc {
 
@@ -43,57 +44,166 @@ namespace {
 
 using Node = Predicate::Node;
 
-Result<bool> EvaluateNode(const Node& node, const MdObject& mo, FactId fact);
+/// A predicate node bound to one MO. A characterization leaf over an
+/// in-range dimension carries the dimension's compiled rollup snapshot
+/// and its target resolved against it — a RepresentationEquals name
+/// lookup included — so a pass over many facts resolves them once, not
+/// once per fact.
+struct Bound {
+  const Node* node = nullptr;
+  std::unique_ptr<Bound> left;
+  std::unique_ptr<Bound> right;
+  std::shared_ptr<const RollupIndex> index;
+  ValueId target;
+  /// False when a representation name denotes no value (nothing matches).
+  bool resolved = true;
+  bool target_is_top = false;
+  /// The target's dense id (kNone when it is not in the dimension) and
+  /// category in `index`.
+  std::uint32_t target_dense = RollupIndex::kNone;
+  CategoryTypeIndex target_category = 0;
+};
 
-Result<bool> EvaluateCharacterizedBy(const Node& node, const MdObject& mo,
-                                     FactId fact) {
-  if (node.dim >= mo.dimension_count()) {
-    return Status::InvalidArgument(
-        StrCat("predicate references dimension ", node.dim, " of a ",
-               mo.dimension_count(), "-dimensional MO"));
-  }
-  ValueId target = node.value;
-  if (node.needs_rep_resolution) {
-    auto rep =
-        mo.dimension(node.dim).FindRepresentation(node.category, node.rep_name);
-    if (!rep.ok()) return false;  // no such representation: nothing matches
-    auto resolved = (*rep)->Lookup(node.rep_text, node.at);
-    if (!resolved.ok()) return false;  // name denotes no value at that time
-    target = *resolved;
-  }
-  for (const MdObject::Characterization& c :
-       mo.CharacterizedBy(fact, node.dim)) {
-    if (c.value != target) continue;
-    if (node.any_time) return true;
-    if (c.life.valid.Covers(node.element)) return true;
-  }
-  return false;
-}
-
-Result<bool> EvaluateHasValueInCategory(const Node& node, const MdObject& mo,
-                                        FactId fact) {
-  if (node.dim >= mo.dimension_count()) {
-    return Status::InvalidArgument(
-        StrCat("predicate references dimension ", node.dim, " of a ",
-               mo.dimension_count(), "-dimensional MO"));
+std::unique_ptr<Bound> Bind(const Node& node, const MdObject& mo,
+                            ExecStats* stats) {
+  auto bound = std::make_unique<Bound>();
+  bound->node = &node;
+  if (node.left != nullptr) bound->left = Bind(*node.left, mo, stats);
+  if (node.right != nullptr) bound->right = Bind(*node.right, mo, stats);
+  const bool reads_characterization =
+      node.kind == Node::Kind::kCharacterizedBy ||
+      node.kind == Node::Kind::kCharacterizedThroughout ||
+      node.kind == Node::Kind::kHasValueInCategory ||
+      node.kind == Node::Kind::kMinProbability;
+  // An out-of-range dimension stays unbound; evaluation reports it.
+  if (!reads_characterization || node.dim >= mo.dimension_count()) {
+    return bound;
   }
   const Dimension& dimension = mo.dimension(node.dim);
-  for (const MdObject::Characterization& c :
-       mo.CharacterizedBy(fact, node.dim)) {
-    if (c.value == dimension.top_value()) continue;
-    auto category = dimension.CategoryOf(c.value);
-    if (category.ok() && *category == node.category) return true;
+  bound->index = RollupIndex::For(dimension, stats);
+  bound->target = node.value;
+  if (node.needs_rep_resolution) {
+    bound->resolved = false;
+    auto rep = dimension.FindRepresentation(node.category, node.rep_name);
+    if (rep.ok()) {
+      auto resolved = (*rep)->Lookup(node.rep_text, node.at);
+      bound->resolved = resolved.ok();
+      if (resolved.ok()) bound->target = *resolved;
+    }
+  }
+  bound->target_is_top = bound->target == dimension.top_value();
+  bound->target_dense = bound->index->DenseOf(bound->target);
+  if (bound->target_dense != RollupIndex::kNone) {
+    bound->target_category = bound->index->CategoryOfDense(bound->target_dense);
+  }
+  return bound;
+}
+
+/// One value's entry in a fact's characterization, if `found`.
+struct TargetCharacterization {
+  bool found = false;
+  Lifespan life;
+  double prob = 0.0;
+};
+
+/// How `fact` is characterized by a bound leaf's one target value: the
+/// entry MdObject::CharacterizedBy reports for that value, accumulated
+/// over the fact's relation entries and their ancestor runs at the
+/// target's category — the same witnesses in the same order, with the
+/// same lifespan union and noisy-or — without materializing the rest of
+/// the closure. `first_only` stops at the first witness, for leaves that
+/// only ask whether one exists.
+TargetCharacterization CharacterizeTarget(const Bound& leaf,
+                                          const MdObject& mo, FactId fact,
+                                          bool first_only) {
+  TargetCharacterization result;
+  const FactDimRelation& relation = mo.relation(leaf.node->dim);
+  const std::vector<std::size_t>& entries = relation.EntryIndexesForFact(fact);
+  if (leaf.target_is_top) {
+    // Characterization by top is unconditional once the fact has a pair.
+    result.found = !entries.empty();
+    result.prob = 1.0;
+    return result;
+  }
+  const auto fold = [&](const Lifespan& life, double prob) {
+    if (life.Empty()) return;
+    if (!result.found) {
+      result.found = true;
+      result.life = life;
+      result.prob = prob;
+    } else {
+      result.life = result.life.Union(life);
+      result.prob = 1.0 - (1.0 - result.prob) * (1.0 - prob);
+    }
+  };
+  const RollupIndex& index = *leaf.index;
+  for (std::size_t e : entries) {
+    const FactDimRelation::Entry& entry = relation.entries()[e];
+    if (entry.value == leaf.target) {
+      fold(entry.life, entry.prob);
+    } else if (leaf.target_dense != RollupIndex::kNone) {
+      const std::uint32_t dense = index.DenseOf(entry.value);
+      if (dense == RollupIndex::kNone) continue;
+      for (const RollupIndex::RunEntry* c =
+               index.RunBegin(dense, leaf.target_category);
+           c != index.RunEnd(dense, leaf.target_category); ++c) {
+        if (c->ancestor != leaf.target_dense) continue;
+        fold(index.RunIntersect(entry.life, *c), entry.prob * c->prob);
+        break;  // a closure names each ancestor once
+      }
+    }
+    if (first_only && result.found) break;
+  }
+  return result;
+}
+
+Status DimensionOutOfRange(const Node& node, const MdObject& mo) {
+  return Status::InvalidArgument(
+      StrCat("predicate references dimension ", node.dim, " of a ",
+             mo.dimension_count(), "-dimensional MO"));
+}
+
+Result<bool> EvaluateCharacterizedBy(const Bound& leaf, const MdObject& mo,
+                                     FactId fact) {
+  const Node& node = *leaf.node;
+  if (node.dim >= mo.dimension_count()) return DimensionOutOfRange(node, mo);
+  if (!leaf.resolved) return false;
+  const TargetCharacterization c =
+      CharacterizeTarget(leaf, mo, fact, /*first_only=*/node.any_time);
+  if (!c.found) return false;
+  return node.any_time || c.life.valid.Covers(node.element);
+}
+
+Result<bool> EvaluateHasValueInCategory(const Bound& leaf, const MdObject& mo,
+                                        FactId fact) {
+  const Node& node = *leaf.node;
+  if (node.dim >= mo.dimension_count()) return DimensionOutOfRange(node, mo);
+  const Dimension& dimension = mo.dimension(node.dim);
+  if (node.category >= dimension.type().category_count()) return false;
+  // Some non-top value of the category characterizes the fact: an entry
+  // value in it, or a containment of an entry's run there, alive at some
+  // time. Runs never name top.
+  const RollupIndex& index = *leaf.index;
+  const FactDimRelation& relation = mo.relation(node.dim);
+  for (std::size_t e : relation.EntryIndexesForFact(fact)) {
+    const FactDimRelation::Entry& entry = relation.entries()[e];
+    const std::uint32_t dense = index.DenseOf(entry.value);
+    if (dense == RollupIndex::kNone || entry.life.Empty()) continue;
+    if (index.CategoryOfDense(dense) == node.category &&
+        entry.value != dimension.top_value()) {
+      return true;
+    }
+    for (const RollupIndex::RunEntry* c = index.RunBegin(dense, node.category);
+         c != index.RunEnd(dense, node.category); ++c) {
+      if (!index.RunIntersect(entry.life, *c).Empty()) return true;
+    }
   }
   return false;
 }
 
 Result<bool> EvaluateNumericCompare(const Node& node, const MdObject& mo,
                                     FactId fact) {
-  if (node.dim >= mo.dimension_count()) {
-    return Status::InvalidArgument(
-        StrCat("predicate references dimension ", node.dim, " of a ",
-               mo.dimension_count(), "-dimensional MO"));
-  }
+  if (node.dim >= mo.dimension_count()) return DimensionOutOfRange(node, mo);
   const Dimension& dimension = mo.dimension(node.dim);
   for (const FactDimRelation::Entry* entry :
        mo.relation(node.dim).ForFact(fact)) {
@@ -123,16 +233,14 @@ Result<bool> EvaluateNumericCompare(const Node& node, const MdObject& mo,
   return false;
 }
 
-Result<bool> EvaluateMinProbability(const Node& node, const MdObject& mo,
+Result<bool> EvaluateMinProbability(const Bound& leaf, const MdObject& mo,
                                     FactId fact) {
-  for (const MdObject::Characterization& c :
-       mo.CharacterizedBy(fact, node.dim, node.at)) {
-    if (c.value == node.value && c.prob >= node.threshold &&
-        c.life.valid.Contains(node.at)) {
-      return true;
-    }
-  }
-  return false;
+  const Node& node = *leaf.node;
+  // An out-of-range dimension characterizes nothing: no match.
+  if (node.dim >= mo.dimension_count()) return false;
+  const TargetCharacterization c =
+      CharacterizeTarget(leaf, mo, fact, /*first_only=*/false);
+  return c.found && c.prob >= node.threshold && c.life.valid.Contains(node.at);
 }
 
 Result<bool> EvaluateSameRepresentedValue(const Node& node,
@@ -169,33 +277,35 @@ Result<bool> EvaluateSameRepresentedValue(const Node& node,
   return false;
 }
 
-Result<bool> EvaluateNode(const Node& node, const MdObject& mo, FactId fact) {
+Result<bool> EvaluateBound(const Bound& bound, const MdObject& mo,
+                           FactId fact) {
+  const Node& node = *bound.node;
   switch (node.kind) {
     case Node::Kind::kTrue:
       return true;
     case Node::Kind::kAnd: {
-      MDDC_ASSIGN_OR_RETURN(bool left, EvaluateNode(*node.left, mo, fact));
+      MDDC_ASSIGN_OR_RETURN(bool left, EvaluateBound(*bound.left, mo, fact));
       if (!left) return false;
-      return EvaluateNode(*node.right, mo, fact);
+      return EvaluateBound(*bound.right, mo, fact);
     }
     case Node::Kind::kOr: {
-      MDDC_ASSIGN_OR_RETURN(bool left, EvaluateNode(*node.left, mo, fact));
+      MDDC_ASSIGN_OR_RETURN(bool left, EvaluateBound(*bound.left, mo, fact));
       if (left) return true;
-      return EvaluateNode(*node.right, mo, fact);
+      return EvaluateBound(*bound.right, mo, fact);
     }
     case Node::Kind::kNot: {
-      MDDC_ASSIGN_OR_RETURN(bool inner, EvaluateNode(*node.left, mo, fact));
+      MDDC_ASSIGN_OR_RETURN(bool inner, EvaluateBound(*bound.left, mo, fact));
       return !inner;
     }
     case Node::Kind::kCharacterizedBy:
     case Node::Kind::kCharacterizedThroughout:
-      return EvaluateCharacterizedBy(node, mo, fact);
+      return EvaluateCharacterizedBy(bound, mo, fact);
     case Node::Kind::kHasValueInCategory:
-      return EvaluateHasValueInCategory(node, mo, fact);
+      return EvaluateHasValueInCategory(bound, mo, fact);
     case Node::Kind::kNumericCompare:
       return EvaluateNumericCompare(node, mo, fact);
     case Node::Kind::kMinProbability:
-      return EvaluateMinProbability(node, mo, fact);
+      return EvaluateMinProbability(bound, mo, fact);
     case Node::Kind::kSameRepresentedValue:
       return EvaluateSameRepresentedValue(node, mo, fact);
   }
@@ -380,7 +490,19 @@ Predicate Predicate::Not() const {
 }
 
 Result<bool> Predicate::Evaluate(const MdObject& mo, FactId fact) const {
-  return EvaluateNode(*root_, mo, fact);
+  return EvaluateBound(*Bind(*root_, mo, nullptr), mo, fact);
+}
+
+Result<std::vector<bool>> Predicate::EvaluateAll(const MdObject& mo,
+                                                 ExecStats* stats) const {
+  const std::unique_ptr<Bound> bound = Bind(*root_, mo, stats);
+  std::vector<bool> matches;
+  matches.reserve(mo.facts().size());
+  for (FactId fact : mo.facts()) {
+    MDDC_ASSIGN_OR_RETURN(bool match, EvaluateBound(*bound, mo, fact));
+    matches.push_back(match);
+  }
+  return matches;
 }
 
 std::string Predicate::ToString() const { return NodeToString(*root_); }

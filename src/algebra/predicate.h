@@ -10,6 +10,8 @@
 
 namespace mddc {
 
+struct ExecStats;
+
 /// A predicate on the dimension values characterizing a fact, used by the
 /// selection operator (paper Section 4.1): sigma[p](M) keeps the facts f
 /// for which there exist characterizing values e_1..e_n with p(e_1..e_n).
@@ -79,6 +81,15 @@ class Predicate {
 
   /// Evaluates the predicate for one fact of `mo`.
   Result<bool> Evaluate(const MdObject& mo, FactId fact) const;
+
+  /// Evaluates the predicate for every fact of `mo`, in mo.facts() order
+  /// — the selection scan. Each leaf resolves its dimension's compiled
+  /// rollup snapshot and its target once for the whole pass, so a fact
+  /// costs only its own relation entries. Fails with the error the first
+  /// failing Evaluate would return. `stats`, when non-null, counts the
+  /// snapshot builds.
+  Result<std::vector<bool>> EvaluateAll(const MdObject& mo,
+                                        ExecStats* stats = nullptr) const;
 
   /// Human-readable form, e.g. "(char(0,9) AND NOT num(1 >= 65))".
   std::string ToString() const;

@@ -120,16 +120,18 @@ struct ExecStats {
   /// stale snapshot is never consulted). Reuse shows as hits without
   /// builds.
   std::size_t index_builds = 0;
-  /// Times a hot path consumed a compiled snapshot instead of map-based
-  /// traversal, counted once per operation and dimension: a grouping
-  /// dimension of AggregateFormation resolved through the flat rollup
-  /// table, a dimension sliced through the dense arrays, a
-  /// PreAggregateCache rollup answered by flat lookups, or a Join
-  /// operand dimension whose snapshot was compiled/attached at warm-up.
+  /// Times a hot path consumed a compiled snapshot's flat form, counted
+  /// once per operation and dimension: a live grouping axis of the
+  /// group-by core resolved through the flat rollup table, a dimension
+  /// sliced through the dense arrays, a PreAggregateCache rollup answered
+  /// by flat lookups, or a Join operand dimension whose snapshot was
+  /// compiled/attached at warm-up.
   std::size_t index_hits = 0;
   /// Times a hot path wanted the flat rollup table but the snapshot's
-  /// strictness/non-temporal gate failed, falling back to the memoized
-  /// traversal (results are bit-identical either way).
+  /// strictness/non-temporal gate failed — the flat-table verdict, not a
+  /// traversal: a group-by axis then resolves its coordinates through the
+  /// snapshot's ancestor runs on the flat-hash engine (a PreAggregateCache
+  /// rollup walks AncestorsIn). Results are bit-identical either way.
   std::size_t index_fallbacks = 0;
   /// Aggregate formations answered by the dense-slot group-by kernel:
   /// every grouping dimension was covered by a flat rollup table (or

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "core/properties.h"
-
 namespace mddc {
 namespace {
 
@@ -196,43 +194,88 @@ std::shared_ptr<const RollupIndex> RollupIndex::Build(
 
   index->FillCategoryRanges();
   index->FillCsrArrays(dimension);
-  const std::vector<Dimension::Edge>& edges = dimension.edges();
-  bool all_edges_always = true;
-  for (const Dimension::Edge& edge : edges) {
-    if (!(edge.life == Lifespan::AlwaysSpan())) {
-      all_edges_always = false;
-      break;
+  index->run_begin_.assign(1, 0);
+  index->run_lives_.assign(1, Lifespan::AlwaysSpan());
+  index->AppendRuns(dimension, 0);
+  index->FillFlatTable(dimension);
+  return index;
+}
+
+void RollupIndex::AppendRuns(const Dimension& dimension,
+                             std::uint32_t first) {
+  const std::uint32_t n = value_count();
+  const std::size_t categories = category_count_;
+  run_begin_.reserve(n * categories + 1);
+  static const std::vector<Dimension::Containment> kNoAncestors;
+  std::vector<std::uint32_t> closure;  // dense ids of one AncestorsView
+  for (std::uint32_t d = first; d < n; ++d) {
+    const std::vector<Dimension::Containment>& ancestors =
+        d == top_dense_ ? kNoAncestors : dimension.AncestorsView(value_of_[d]);
+    closure.clear();
+    for (const Dimension::Containment& c : ancestors) {
+      closure.push_back(DenseOf(c.value));
+    }
+    // One pass per category keeps AncestorsView order inside each run;
+    // categories are few and closures short.
+    for (std::size_t category = 0; category < categories; ++category) {
+      for (std::size_t k = 0; k < ancestors.size(); ++k) {
+        const std::uint32_t ancestor = closure[k];
+        if (ancestor == kNone || ancestor == top_dense_ ||
+            category_of_[ancestor] != category) {
+          continue;
+        }
+        const Dimension::Containment& c = ancestors[k];
+        std::uint32_t life = kAlwaysLife;
+        if (!c.life.IsAlways()) {
+          life = static_cast<std::uint32_t>(run_lives_.size());
+          run_lives_.push_back(c.life);
+        }
+        run_entries_.push_back(RunEntry{ancestor, life, c.prob});
+      }
+      run_begin_.push_back(static_cast<std::uint32_t>(run_entries_.size()));
     }
   }
+}
 
-  // Flat descendant -> ancestor-at-category table, gated on Section 3.4
-  // strictness plus non-temporal edges. Under that gate every closure
-  // lifespan is Always (intersections and unions of Always stay Always),
-  // so the table needs no lifespan column, and strictness guarantees at
-  // most one ancestor per category — the single-array-lookup rollup.
-  index->has_flat_table_ = all_edges_always && IsStrict(dimension);
-  if (index->has_flat_table_) {
-    index->flat_ancestor_.assign(n * index->category_count_, kNone);
-    index->flat_prob_.assign(n * index->category_count_, 0.0);
-    for (std::uint32_t d = 0; d < n; ++d) {
-      auto set = [&](CategoryTypeIndex category, std::uint32_t ancestor,
-                     double p) {
-        index->flat_ancestor_[d * index->category_count_ + category] =
-            ancestor;
-        index->flat_prob_[d * index->category_count_ + category] = p;
-      };
-      // The value answers a rollup to its own category with itself.
-      set(index->category_of_[d], d, 1.0);
-      if (d == index->top_dense_) continue;
-      for (const Dimension::Containment& c :
-           dimension.AncestorsView(values[d])) {
-        const std::uint32_t ancestor = index->DenseOf(c.value);
-        if (ancestor == kNone) continue;
-        set(index->category_of_[ancestor], ancestor, c.prob);
+void RollupIndex::FillFlatTable(const Dimension& dimension) {
+  // The gate: Section 3.4 strictness plus non-temporal edges. Under it
+  // every closure lifespan is Always (intersections and unions of Always
+  // stay Always), so the table needs no lifespan column, and strictness —
+  // at most one ancestor per category, i.e. no run longer than one —
+  // makes ancestor-at-category a function.
+  const std::size_t categories = category_count_;
+  flat_ancestor_.clear();
+  flat_prob_.clear();
+  has_flat_table_ = false;
+  for (const Dimension::Edge& edge : dimension.edges()) {
+    if (!(edge.life == Lifespan::AlwaysSpan())) return;
+  }
+  for (std::size_t r = 0; r + 1 < run_begin_.size(); ++r) {
+    if (run_begin_[r + 1] - run_begin_[r] > 1) return;
+  }
+  has_flat_table_ = true;
+  const std::uint32_t n = value_count();
+  flat_ancestor_.assign(n * categories, kNone);
+  flat_prob_.assign(n * categories, 0.0);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    const auto set = [&](CategoryTypeIndex category, std::uint32_t ancestor,
+                         double p) {
+      flat_ancestor_[d * categories + category] = ancestor;
+      flat_prob_[d * categories + category] = p;
+    };
+    // The value answers a rollup to its own category with itself...
+    set(category_of_[d], d, 1.0);
+    if (d == top_dense_) continue;
+    // ...its runs name the ancestor elsewhere, and top contains it
+    // unconditionally.
+    for (CategoryTypeIndex category = 0; category < categories; ++category) {
+      for (const RunEntry* c = RunBegin(d, category); c != RunEnd(d, category);
+           ++c) {
+        set(category, c->ancestor, c->prob);
       }
     }
+    if (top_dense_ != kNone) set(category_of_[top_dense_], top_dense_, 1.0);
   }
-  return index;
 }
 
 std::shared_ptr<const RollupIndex> RollupIndex::Patch(
@@ -279,73 +322,39 @@ std::shared_ptr<const RollupIndex> RollupIndex::Patch(
   index->FillCategoryRanges();
   index->FillCsrArrays(dimension);
 
-  // Flat table: old rows are copied verbatim (appended edges never alter
-  // an old value's upward closure — they only hang fresh children), with
-  // references to the old top dense id remapped to the shifted one. Only
-  // fresh values pay a closure walk. The patch re-applies Build's gate
-  // incrementally: a non-Always appended edge breaks the non-temporal
-  // half, and a fresh value with two ancestors in one category breaks
-  // strictness — either drops the table, exactly as Build would conclude.
-  index->has_flat_table_ = false;
-  if (old.has_flat_table_) {
-    bool appended_always = true;
-    for (std::size_t e = old.edge_count_; e < edges.size(); ++e) {
-      if (!(edges[e].life == Lifespan::AlwaysSpan())) {
-        appended_always = false;
-        break;
-      }
-    }
-    if (appended_always) {
-      index->has_flat_table_ = true;
-      index->flat_ancestor_.assign(n * index->category_count_, kNone);
-      index->flat_prob_.assign(n * index->category_count_, 0.0);
-      const std::uint32_t old_top = old_n - 1;
-      const std::uint32_t new_top = n - 1;
-      for (std::uint32_t d = 0; d + 1 < old_n; ++d) {
-        for (std::size_t c = 0; c < index->category_count_; ++c) {
-          std::uint32_t ancestor =
-              old.flat_ancestor_[d * old.category_count_ + c];
-          if (ancestor == old_top) ancestor = new_top;
-          index->flat_ancestor_[d * index->category_count_ + c] = ancestor;
-          index->flat_prob_[d * index->category_count_ + c] =
-              old.flat_prob_[d * old.category_count_ + c];
-        }
-      }
-      index->flat_ancestor_[new_top * index->category_count_ +
-                            index->category_of_[new_top]] = new_top;
-      index->flat_prob_[new_top * index->category_count_ +
-                        index->category_of_[new_top]] = 1.0;
-      for (std::uint32_t d = old_n - 1;
-           d + 1 < n && index->has_flat_table_; ++d) {
-        auto set = [&](CategoryTypeIndex category, std::uint32_t ancestor,
-                       double p) -> bool {
-          std::uint32_t& slot =
-              index->flat_ancestor_[d * index->category_count_ + category];
-          if (slot != kNone && slot != ancestor) return false;
-          slot = ancestor;
-          index->flat_prob_[d * index->category_count_ + category] = p;
-          return true;
-        };
-        if (!set(index->category_of_[d], d, 1.0)) {
-          index->has_flat_table_ = false;
-          break;
-        }
-        for (const Dimension::Containment& c :
-             dimension.AncestorsView(values[d])) {
-          const std::uint32_t ancestor = index->DenseOf(c.value);
-          if (ancestor == kNone) continue;
-          if (!set(index->category_of_[ancestor], ancestor, c.prob)) {
-            index->has_flat_table_ = false;
-            break;
-          }
-        }
-      }
-      if (!index->has_flat_table_) {
-        index->flat_ancestor_.clear();
-        index->flat_prob_.clear();
-      }
+  // Ancestor runs: values that predate the dimension's append watermark
+  // keep theirs verbatim — appends since the last structural change never
+  // alter their upward closures (edges only hang under fresh children),
+  // and runs never name top, the one old value whose dense id moved.
+  // Fresh values are the highest non-top dense ids and pay a closure walk
+  // — all of them, not only those `old` lacks: an edge appended under a
+  // value that was already fresh when `old` was compiled changes that
+  // value's closure (and its fresh descendants') without a structural
+  // bump. The flat table is then re-derived from the runs under the same
+  // gate Build applies.
+  const std::uint32_t fresh = static_cast<std::uint32_t>(std::min<std::size_t>(
+      n - 1, values.size() - dimension.append_watermark()));
+  const std::uint32_t kept = std::min(old_n - 1, (n - 1) - fresh);
+  const std::size_t old_rows = kept * old.category_count_;
+  index->run_begin_.assign(old.run_begin_.begin(),
+                           old.run_begin_.begin() + old_rows + 1);
+  index->run_entries_.assign(
+      old.run_entries_.begin(),
+      old.run_entries_.begin() + old.run_begin_[old_rows]);
+  // The lifespan pool fills in dense order too: keep the prefix the kept
+  // runs reference, so recomputed values do not leave dead lifespans.
+  std::size_t kept_lives = old.run_lives_.size();
+  for (std::size_t e = old.run_begin_[old_rows]; e < old.run_entries_.size();
+       ++e) {
+    if (old.run_entries_[e].life != kAlwaysLife) {
+      kept_lives = old.run_entries_[e].life;
+      break;
     }
   }
+  index->run_lives_.assign(old.run_lives_.begin(),
+                           old.run_lives_.begin() + kept_lives);
+  index->AppendRuns(dimension, kept);
+  index->FillFlatTable(dimension);
   return index;
 }
 

@@ -39,13 +39,19 @@ struct NumericColumn {
 ///  * CSR (compressed-sparse-row) arrays of the immediate-containment
 ///    edges, upward and downward, with parallel lifespan/probability
 ///    arrays;
-///  * per-category value ranges, sorted by ValueId; and
+///  * per-category value ranges, sorted by ValueId;
+///  * for every hierarchy, per (value, category) *ancestor runs*: the
+///    closure containments of the value at that category, with their
+///    lifespans and probabilities, in AncestorsView order — a value's
+///    coordinates at a grouping category are its run, so non-strict,
+///    many-to-many and temporal hierarchies resolve without a traversal;
+///    and
 ///  * when the hierarchy passes the strictness gate of Section 3.4 and
 ///    every edge lifespan is Always (the "non-temporal" case), a flat
 ///    descendant -> ancestor-at-category table with the closure
-///    probability, so a rollup is one array lookup instead of a graph
-///    walk. Strictness makes the table well-defined: each value has at
-///    most one ancestor per category.
+///    probability, so a rollup is one array lookup and the dense-slot
+///    group-by kernel can compose slots. Strictness makes the table
+///    well-defined: each value has at most one ancestor per category.
 ///
 /// Snapshots are built lazily by For(), shared through the dimension's
 /// type-erased compiled-snapshot slot (so Dimension copies — e.g. the
@@ -53,8 +59,8 @@ struct NumericColumn {
 /// compiled form for free), and invalidated by the dimension's structural
 /// version counter: any mutation bumps the version, For() rejects the
 /// stale snapshot and recompiles. Consumers that need the flat table but
-/// find the gate failed fall back to the memoized traversal, so results
-/// stay bit-identical in every case.
+/// find the gate failed read the ancestor runs instead, so results stay
+/// bit-identical in every case.
 class RollupIndex {
  public:
   /// Sentinel dense id: "no such value" / "no ancestor at this category".
@@ -164,6 +170,46 @@ class RollupIndex {
     return flat_prob_[dense * category_count_ + category];
   }
 
+  // ---- Ancestor runs ----------------------------------------------------
+
+  /// One containment of an ancestor run: the ancestor's dense id, its
+  /// lifespan (an index into the snapshot's lifespan pool, read through
+  /// RunLife) and its closure probability.
+  struct RunEntry {
+    std::uint32_t ancestor;
+    std::uint32_t life;
+    double prob;
+  };
+
+  /// Half-open range of the ancestor run of dense value `d` at `category`
+  /// (which must be < the dimension's category count): every containment
+  /// AncestorsView(d) reports at that category, in its order, with its
+  /// lifespan and probability — Reach ignores the probability chronon,
+  /// so one run serves every prob_at. The value itself and the top value
+  /// are never in a run: a value characterizes its own category directly,
+  /// and characterization by top is unconditional. Usable for every
+  /// hierarchy, whatever the gate says.
+  const RunEntry* RunBegin(std::uint32_t dense,
+                           CategoryTypeIndex category) const {
+    return run_entries_.data() + run_begin_[dense * category_count_ + category];
+  }
+  const RunEntry* RunEnd(std::uint32_t dense,
+                         CategoryTypeIndex category) const {
+    return run_entries_.data() +
+           run_begin_[dense * category_count_ + category + 1];
+  }
+  const Lifespan& RunLife(const RunEntry& entry) const {
+    return run_lives_[entry.life];
+  }
+
+  /// The lifespan a relation entry alive during `life` lends the
+  /// characterization by run containment `entry`'s ancestor: `life`
+  /// intersected with the containment's lifespan.
+  Lifespan RunIntersect(const Lifespan& life, const RunEntry& entry) const {
+    if (entry.life == kAlwaysLife) return life;
+    return life.Intersect(run_lives_[entry.life]);
+  }
+
   // ---- Numeric column ----------------------------------------------------
 
   /// The numeric column of `dimension` — which must be the dimension this
@@ -187,14 +233,13 @@ class RollupIndex {
   /// Compiles a snapshot by patching `old` — valid only when the
   /// dimension drifted from `old` by appends (equal structural versions):
   /// the dense remap is extended (fresh values slot in before top, which
-  /// shifts to stay last), the cheap O(V+E) arrays are refilled, and only
-  /// the fresh values' flat-table rows are computed via closure walks —
-  /// old rows are copied with the top id remapped, since appended edges
-  /// never change an old value's upward closure. Returns null when the
-  /// patch gate fails (structural drift, reordered values) and the caller
-  /// must Build. Byte-equivalent to Build in every consumable way: a
-  /// fresh value with two ancestors in one category, or a non-Always
-  /// appended edge, drops the flat table exactly as Build's gate would.
+  /// shifts to stay last), the cheap O(V+E) arrays are refilled, the
+  /// ancestor runs of values older than the dimension's append watermark
+  /// are copied (appends never change their upward closures, and runs
+  /// never name top) and only the runs of values appended since the last
+  /// structural change are recomputed from closure walks. Returns null
+  /// when the patch gate fails (structural drift, reordered values) and
+  /// the caller must Build. Equal to Build in every consumable way.
   static std::shared_ptr<const RollupIndex> Patch(const Dimension& dimension,
                                                   const RollupIndex& old);
 
@@ -202,6 +247,12 @@ class RollupIndex {
   /// `category_of_` must already be final.
   void FillCategoryRanges();
   void FillCsrArrays(const Dimension& dimension);
+  /// Appends the ancestor runs of dense values [first, value_count()) —
+  /// the runs of every earlier value must already be in place.
+  void AppendRuns(const Dimension& dimension, std::uint32_t first);
+  /// Applies the gate and, when it holds, fills the flat table from the
+  /// runs: strict means no run holds two containments.
+  void FillFlatTable(const Dimension& dimension);
 
   std::uint64_t version_ = 0;
   std::uint64_t structural_version_ = 0;
@@ -227,6 +278,13 @@ class RollupIndex {
   std::vector<std::uint32_t> down_target_;
   std::vector<Lifespan> down_life_;
   std::vector<double> down_prob_;
+
+  /// The pool index of the Always lifespan, shared by every run entry
+  /// whose containment holds at all times.
+  static constexpr std::uint32_t kAlwaysLife = 0;
+  std::vector<std::uint32_t> run_begin_;  // value_count() * categories + 1
+  std::vector<RunEntry> run_entries_;
+  std::vector<Lifespan> run_lives_;  // [kAlwaysLife] = Always
 
   std::vector<std::uint32_t> flat_ancestor_;  // value_count() * categories
   std::vector<double> flat_prob_;

@@ -118,11 +118,9 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
   if (select.where != nullptr) {
     MDDC_ASSIGN_OR_RETURN(Predicate predicate,
                           BuildWhere(mo, *select.where, exec));
-    keep.reserve(mo.facts().size());
-    for (FactId fact : mo.facts()) {
-      MDDC_ASSIGN_OR_RETURN(bool match, predicate.Evaluate(mo, fact));
-      keep.push_back(match);
-    }
+    MDDC_ASSIGN_OR_RETURN(
+        keep,
+        predicate.EvaluateAll(mo, exec != nullptr ? &exec->stats : nullptr));
     keep_ptr = &keep;
   }
 

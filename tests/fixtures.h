@@ -89,6 +89,32 @@ inline Dimension BuildDiagnosisDimension() {
   return dimension;
 }
 
+/// BuildDiagnosisDimension plus a reclassified low-level diagnosis 13:
+/// filed under family 7 for 1970-79 until a correction recorded in 1985
+/// moved it under family 9 from 1980 on (both edges carry transaction
+/// time), and possibly under family 10 (probability 0.6). Low-level 14
+/// sits under family 7 for 1970-79 only.
+inline Dimension BuildReclassifiedDiagnosisDimension() {
+  Dimension dimension = BuildDiagnosisDimension();
+  const CategoryTypeIndex low = *dimension.type().Find("Low-level Diagnosis");
+  const auto bitemporal = [](const char* valid, const char* recorded) {
+    return Lifespan{TemporalElement(*Interval::Parse(valid)),
+                    TemporalElement(*Interval::Parse(recorded))};
+  };
+  (void)dimension.AddValue(low, ValueId(13));
+  (void)dimension.AddValue(low, ValueId(14), During("[01/01/70-31/12/79]"));
+  (void)dimension.AddOrder(
+      ValueId(13), ValueId(7),
+      bitemporal("[01/01/70-31/12/79]", "[01/01/70-31/12/84]"));
+  (void)dimension.AddOrder(ValueId(13), ValueId(9),
+                           bitemporal("[01/01/80-NOW]", "[01/01/85-NOW]"));
+  (void)dimension.AddOrder(ValueId(13), ValueId(10), During("[01/01/80-NOW]"),
+                           0.6);
+  (void)dimension.AddOrder(ValueId(14), ValueId(7),
+                           During("[01/01/70-31/12/79]"));
+  return dimension;
+}
+
 /// A one-dimensional Patient MO over the Diagnosis dimension with the Has
 /// table of Table 1 as its fact-dimension relation.
 inline MdObject BuildPatientDiagnosisMo() {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "algebra/operators.h"
+#include "algebra/predicate.h"
 #include "common/strings.h"
 #include "core/properties.h"
 #include "engine/executor.h"
@@ -32,14 +33,17 @@
 // byte-identity at 1/2/8 threads through the dense kernel, the fused
 // multi-function AggregateStream against one baseline formation per
 // function, parallel runs of the shapes Section 3.4 rejects (and of a
-// fold-state capture), the per-version numeric argument column, the
-// NaN-payload result-interning regression, and the relational flat-hash
-// engine against its own baseline.
+// fold-state capture), the per-version numeric argument column, the one
+// coordinate path (ancestor runs) and the target-only WHERE leaves
+// against MdObject::CharacterizedBy, the NaN-payload result-interning
+// regression, and the relational flat-hash engine against its own
+// baseline.
 
 namespace mddc {
 namespace {
 
 using testing_fixtures::BuildDiagnosisDimension;
+using testing_fixtures::BuildReclassifiedDiagnosisDimension;
 using testing_fixtures::Day;
 using testing_fixtures::During;
 
@@ -792,6 +796,343 @@ TEST(GroupByKernelTest, SessionViewsOfOneEpochBuildTheNumericColumnOnce) {
                 second.stats.numeric_column_builds,
             2u);
   EXPECT_EQ(first.stats.index_builds + second.stats.index_builds, 0u);
+}
+
+// ---- One coordinate path: ancestor runs against the characterization ------
+
+/// Relates patient `id` of BuildReclassifiedMo to its diagnoses by the
+/// pattern id % 6 — a bitemporal registration of the reclassified 13, two
+/// witnesses of family 9 (a Family-granularity registration and a leaf
+/// under it), the empty/non-empty witness pair of family 7, a patient
+/// whose only witness of any family is empty, the old family 8 (whose
+/// bridge to group 11 starts after it ends) beside leaf 6, and two
+/// Family registrations — with uncertain entries throughout — and to one
+/// or two wards.
+FactId AddReclassifiedPatient(MdObject& mo, std::uint64_t id) {
+  const FactId patient = mo.registry()->Atom(id);
+  EXPECT_TRUE(mo.AddFact(patient).ok());
+  const auto relate = [&](std::uint64_t value, const Lifespan& life,
+                          double prob) {
+    EXPECT_TRUE(mo.Relate(0, patient, ValueId(value), life, prob).ok());
+  };
+  switch (id % 6) {
+    case 0:
+      relate(13,
+             Lifespan{TemporalElement(*Interval::Parse("[01/01/75-NOW]")),
+                      TemporalElement(*Interval::Parse("[01/01/76-NOW]"))},
+             1.0);
+      break;
+    case 1:
+      relate(9, During("[01/01/82-NOW]"), 0.8);
+      relate(5, During("[01/01/80-NOW]"), 0.9);
+      break;
+    case 2:
+      // 3 <= 7 holds 1970-79 only: this witness of family 7 is empty,
+      // the one through 14 is not.
+      relate(3, During("[01/01/85-NOW]"), 0.5);
+      relate(14, During("[01/01/72-31/12/76]"), 0.7);
+      break;
+    case 3:
+      relate(3, During("[01/01/85-NOW]"), 0.5);
+      break;
+    case 4:
+      relate(6, Lifespan::AlwaysSpan(), 0.95);
+      relate(8, During("[01/01/71-31/12/79]"), 1.0);
+      break;
+    default:
+      relate(4, Lifespan::AlwaysSpan(), 1.0);
+      relate(10, Lifespan::AlwaysSpan(), 0.75);
+      break;
+  }
+  EXPECT_TRUE(mo.Relate(1, patient, ValueId(101 + id % 4)).ok());
+  if (id % 5 == 0) {
+    EXPECT_TRUE(mo.Relate(1, patient, ValueId(101 + (id + 1) % 4),
+                          During("[01/01/90-NOW]"))
+                    .ok());
+  }
+  return patient;
+}
+
+/// A bitemporal Patient MO over the reclassified Diagnosis dimension
+/// (non-strict, valid- and transaction-time edges, read through ancestor
+/// runs) and a strict Ward <= Hospital dimension (read through the flat
+/// table), so one flat-hash scan mixes both coordinate loops.
+MdObject BuildReclassifiedMo(std::uint64_t patients) {
+  DimensionTypeBuilder builder("Ward");
+  builder.AddCategory("Ward", AggregationType::kConstant)
+      .AddCategory("Hospital", AggregationType::kConstant)
+      .AddOrder("Ward", "Hospital");
+  Dimension ward(std::move(builder.Build()).ValueOrDie());
+  const CategoryTypeIndex ward_level = *ward.type().Find("Ward");
+  const CategoryTypeIndex hospital = *ward.type().Find("Hospital");
+  for (std::uint64_t h : {201, 202}) {
+    EXPECT_TRUE(ward.AddValue(hospital, ValueId(h)).ok());
+  }
+  for (std::uint64_t w = 101; w <= 104; ++w) {
+    EXPECT_TRUE(ward.AddValue(ward_level, ValueId(w)).ok());
+    EXPECT_TRUE(ward.AddOrder(ValueId(w), ValueId(w < 103 ? 201 : 202)).ok());
+  }
+  MdObject mo("Patient",
+              {BuildReclassifiedDiagnosisDimension(), std::move(ward)},
+              std::make_shared<FactRegistry>(), TemporalType::kBitemporal);
+  for (std::uint64_t id = 1; id <= patients; ++id) {
+    AddReclassifiedPatient(mo, id);
+  }
+  return mo;
+}
+
+/// Every category of `dim` (top excluded) as a one-axis grouping, and as
+/// a two-axis one beside `other` at `other_category`.
+std::vector<std::vector<CategoryTypeIndex>> GroupingsOver(
+    const MdObject& mo, std::size_t dim, std::size_t other,
+    CategoryTypeIndex other_category) {
+  std::vector<std::vector<CategoryTypeIndex>> groupings;
+  const DimensionType& type = mo.dimension(dim).type();
+  for (CategoryTypeIndex c = 0; c < type.category_count(); ++c) {
+    if (c == type.top()) continue;
+    groupings.push_back(GroupingAt(mo, dim, c));
+    groupings.push_back(GroupingAt(mo, dim, c));
+    groupings.back()[other] = other_category;
+  }
+  return groupings;
+}
+
+/// Formation (io::WriteMo bytes) and stream of the set-count, a COUNT
+/// over `dim` and the expected counts at every grouping, at 1/2/8
+/// threads, against the context-free formation.
+void ExpectCoordinatesMatchCharacterization(
+    const MdObject& mo, std::size_t dim,
+    const std::vector<std::vector<CategoryTypeIndex>>& groupings,
+    Chronon prob_at) {
+  for (const std::vector<CategoryTypeIndex>& grouping : groupings) {
+    AggregateSpec expected = SpecFor(AggFunction::SetCount(), grouping);
+    expected.expected_counts = true;
+    for (AggregateSpec spec : {SpecFor(AggFunction::SetCount(), grouping),
+                               SpecFor(AggFunction::Count(dim), grouping),
+                               expected}) {
+      spec.prob_at = prob_at;
+      ExpectFormationRunsParallelAndMatches(mo, spec);
+    }
+    StreamSpec stream;
+    stream.functions = {AggFunction::SetCount(), AggFunction::Count(dim)};
+    stream.grouping = grouping;
+    stream.prob_at = prob_at;
+    ExpectStreamMatchesBaseline(
+        mo, stream, [](ExecContext&) {},
+        [](const ExecStats& stats, std::size_t) {
+          EXPECT_EQ(stats.dense_groupby_runs, 0u);
+        });
+  }
+}
+
+TEST(CoordinateDifferentialTest, RunsMatchTheCharacterizationOnEveryShape) {
+  // The clinical MO: non-strict Diagnosis Family, Family-granularity
+  // registrations, reclassification at the 1980 epoch, uncertain
+  // diagnoses, relocations in the residence dimension.
+  ClinicalMo clinical = BuildClinical();
+  ExpectCoordinatesMatchCharacterization(
+      clinical.mo, clinical.diagnosis_dim,
+      GroupingsOver(clinical.mo, clinical.diagnosis_dim,
+                    clinical.residence_dim, clinical.county),
+      kNowChronon);
+
+  // Bitemporal reclassification edges beside a flat-table axis.
+  const MdObject reclassified = BuildReclassifiedMo(48);
+  ExpectCoordinatesMatchCharacterization(
+      reclassified, 0,
+      GroupingsOver(reclassified, 0, 1,
+                    *reclassified.dimension(1).type().Find("Hospital")),
+      kNowChronon);
+
+  // A valid-time MO read at a chronon other than NOW.
+  const MdObject doses = BuildDoseMo(40);
+  ExpectCoordinatesMatchCharacterization(
+      doses, 0, GroupingsOver(doses, 0, 1, doses.dimension(1).type().bottom()),
+      Day("01/06/82"));
+}
+
+TEST(CoordinateDifferentialTest, EmptyWitnessIsSkippedAndOthersStillCount) {
+  const MdObject mo = BuildReclassifiedMo(12);
+  const CategoryTypeIndex family =
+      *mo.dimension(0).type().Find("Diagnosis Family");
+  AggregateSpec spec =
+      SpecFor(AggFunction::SetCount(), GroupingAt(mo, 0, family));
+  spec.expected_counts = true;
+  ExpectFormationRunsParallelAndMatches(mo, spec);
+
+  // Patients 2 and 8 reach family 7 only through their entry 14 (their
+  // entry 3 meets 3 <= 7 in an empty lifespan); patients 3 and 9 reach no
+  // family at all; patients 6 and 12 reach it through 13's old filing.
+  ExecContext ctx(2, /*min_facts=*/1);
+  auto result = AggregateFormation(mo, spec, &ctx);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const FactDimRelation& groups = result->relation(0);
+  bool found = false;
+  for (const FactDimRelation::Entry& entry : groups.entries()) {
+    if (entry.value != ValueId(7)) continue;
+    found = true;
+    auto term = result->registry()->Get(entry.fact);
+    ASSERT_TRUE(term.ok());
+    std::vector<std::uint64_t> members;
+    for (FactId member : term->members) {
+      members.push_back(mo.registry()->Get(member)->atom);
+    }
+    EXPECT_EQ(members, (std::vector<std::uint64_t>{2, 6, 8, 12}));
+    // The group's probability multiplies its members' coordinate
+    // probabilities: 0.7 per entry-14 witness, 1 through 13. Folding the
+    // empty witness (0.5) in would read 0.85 per patient instead.
+    EXPECT_EQ(entry.prob, 0.7 * 0.7);
+  }
+  EXPECT_TRUE(found);
+  for (const FactId fact : result->facts()) {
+    auto term = result->registry()->Get(fact);
+    ASSERT_TRUE(term.ok());
+    for (FactId member : term->members) {
+      const std::uint64_t id = mo.registry()->Get(member)->atom;
+      EXPECT_NE(id % 6, 3u) << "patient " << id << " has no family";
+    }
+  }
+}
+
+// ---- Target-only WHERE leaves against the characterization -----------------
+
+/// Evaluates `predicate` on `fact` and compares with `want`.
+void ExpectLeaf(const Predicate& predicate, const MdObject& mo, FactId fact,
+                bool want) {
+  auto got = predicate.Evaluate(mo, fact);
+  ASSERT_TRUE(got.ok()) << predicate.ToString() << ": " << got.status();
+  EXPECT_EQ(*got, want) << predicate.ToString() << " on fact " << fact.raw();
+}
+
+/// For every fact of `mo`: each characterization leaf over dimension
+/// `dim` — for one value per category (two where there are two), top and
+/// a value absent from the dimension — against a reference computed from
+/// MdObject::CharacterizedBy, plus HasValueInCategory for every category
+/// (and one past the last) and the out-of-range-dimension behaviours.
+void ExpectLeavesMatchCharacterization(const MdObject& mo, std::size_t dim) {
+  const Dimension& dimension = mo.dimension(dim);
+  const DimensionType& type = dimension.type();
+  std::vector<ValueId> targets;
+  for (CategoryTypeIndex c = 0; c < type.category_count(); ++c) {
+    std::vector<ValueId> values = dimension.ValuesIn(c);
+    std::sort(values.begin(), values.end());
+    targets.push_back(values.front());
+    if (values.size() > 1) targets.push_back(values.back());
+  }
+  targets.push_back(ValueId(987654321));
+  const Chronon chronons[] = {Day("01/06/75"), Day("15/06/85"), kNowChronon};
+  const TemporalElement span(*Interval::Parse("[01/01/81-31/12/83]"));
+  const std::size_t out_of_range = mo.dimension_count();
+
+  for (FactId fact : mo.facts()) {
+    const std::vector<MdObject::Characterization> characterization =
+        mo.CharacterizedBy(fact, dim);
+    for (ValueId target : targets) {
+      const MdObject::Characterization* c = nullptr;
+      for (const MdObject::Characterization& candidate : characterization) {
+        if (candidate.value == target) c = &candidate;
+      }
+      ExpectLeaf(Predicate::CharacterizedBy(dim, target), mo, fact,
+                 c != nullptr);
+      ExpectLeaf(Predicate::CharacterizedThroughout(dim, target, span), mo,
+                 fact, c != nullptr && c->life.valid.Covers(span));
+      for (Chronon at : chronons) {
+        ExpectLeaf(Predicate::CharacterizedByAt(dim, target, at), mo, fact,
+                   c != nullptr &&
+                       c->life.valid.Covers(TemporalElement::At(at)));
+        // 0.95 tells a noisy-or of two witnesses (0.8 and 0.9 make 0.98)
+        // from either one alone.
+        for (double threshold : {0.7, 0.95}) {
+          ExpectLeaf(Predicate::MinProbability(dim, target, threshold, at), mo,
+                     fact,
+                     c != nullptr && c->prob >= threshold &&
+                         c->life.valid.Contains(at));
+        }
+      }
+      // An out-of-range dimension fails the characterization leaves and
+      // matches nothing under a probability threshold.
+      EXPECT_FALSE(Predicate::CharacterizedBy(out_of_range, target)
+                       .Evaluate(mo, fact)
+                       .ok());
+      ExpectLeaf(Predicate::MinProbability(out_of_range, target, 0.1), mo,
+                 fact, false);
+    }
+    for (CategoryTypeIndex category = 0; category <= type.category_count();
+         ++category) {
+      bool want = false;
+      for (const MdObject::Characterization& c : characterization) {
+        want = want || (c.value != dimension.top_value() &&
+                        *dimension.CategoryOf(c.value) == category);
+      }
+      ExpectLeaf(Predicate::HasValueInCategory(dim, category), mo, fact, want);
+    }
+    EXPECT_FALSE(
+        Predicate::HasValueInCategory(out_of_range, 0).Evaluate(mo, fact).ok());
+  }
+
+  // The selection scan binds each leaf once and answers what the per-fact
+  // loop answers, errors included.
+  const Predicate compound =
+      Predicate::CharacterizedBy(dim, targets[1])
+          .Or(Predicate::MinProbability(dim, targets[0], 0.7))
+          .And(Predicate::HasValueInCategory(dim, type.bottom()).Not());
+  auto all = compound.EvaluateAll(mo);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->size(), mo.facts().size());
+  for (std::size_t f = 0; f < mo.facts().size(); ++f) {
+    EXPECT_EQ((*all)[f], *compound.Evaluate(mo, mo.facts()[f]));
+  }
+  const Predicate failing =
+      Predicate::CharacterizedBy(out_of_range, targets[0]);
+  auto failed = failing.EvaluateAll(mo);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().ToString(),
+            failing.Evaluate(mo, mo.facts().front()).status().ToString());
+}
+
+TEST(PredicateDifferentialTest, LeavesMatchTheCharacterization) {
+  ClinicalMo clinical = BuildClinical();
+  ExpectLeavesMatchCharacterization(clinical.mo, clinical.diagnosis_dim);
+  ExpectLeavesMatchCharacterization(clinical.mo, clinical.residence_dim);
+  const MdObject reclassified = BuildReclassifiedMo(24);
+  ExpectLeavesMatchCharacterization(reclassified, 0);
+  ExpectLeavesMatchCharacterization(reclassified, 1);
+}
+
+TEST(PredicateDifferentialTest, RepresentationLeafResolvesOncePerMo) {
+  const MdObject mo = BuildReclassifiedMo(24);
+  const CategoryTypeIndex family =
+      *mo.dimension(0).type().Find("Diagnosis Family");
+  // "E10" names family 9 (from 1980); "D1" named family 8 in the 1970s
+  // only; no "Nope" representation exists.
+  const Predicate e10 =
+      Predicate::RepresentationEquals(0, family, "Code", "E10");
+  const Predicate d1_now =
+      Predicate::RepresentationEquals(0, family, "Code", "D1");
+  const Predicate d1_1975 = Predicate::RepresentationEquals(
+      0, family, "Code", "D1", Day("01/06/75"));
+  const Predicate missing =
+      Predicate::RepresentationEquals(0, family, "Nope", "E10");
+  std::size_t matched = 0;
+  for (FactId fact : mo.facts()) {
+    const bool by_9 =
+        *Predicate::CharacterizedBy(0, ValueId(9)).Evaluate(mo, fact);
+    const bool by_8 =
+        *Predicate::CharacterizedBy(0, ValueId(8)).Evaluate(mo, fact);
+    ExpectLeaf(e10, mo, fact, by_9);
+    ExpectLeaf(d1_now, mo, fact, false);
+    ExpectLeaf(d1_1975, mo, fact, by_8);
+    ExpectLeaf(missing, mo, fact, false);
+    matched += by_9 ? 1 : 0;
+  }
+  EXPECT_GT(matched, 0u);
+  for (const Predicate* p : {&e10, &d1_now, &d1_1975, &missing}) {
+    auto all = p->EvaluateAll(mo);
+    ASSERT_TRUE(all.ok());
+    for (std::size_t f = 0; f < mo.facts().size(); ++f) {
+      EXPECT_EQ((*all)[f], *p->Evaluate(mo, mo.facts()[f])) << p->ToString();
+    }
+  }
 }
 
 // ---- Result-value interning regression ------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -19,7 +21,9 @@
 // accessor-level equivalence against the map-based Dimension queries the
 // snapshot replaces, version-counter invalidation across every mutation
 // kind (AddValue, new AddOrder edge, lifespan coalescing of a repeated
-// edge), snapshot sharing across Dimension copies, and end-to-end proof —
+// edge), the per-(value, category) ancestor runs against AncestorsView —
+// built, patched after appends and invalidated by a structural edit —
+// snapshot sharing across Dimension copies, and end-to-end proof —
 // via ExecStats and serialized-byte comparison at 1/2/8 threads — that
 // the index-consuming hot paths stay bit-identical to the sequential
 // algebra while actually consuming the index.
@@ -28,6 +32,7 @@ namespace mddc {
 namespace {
 
 using testing_fixtures::BuildDiagnosisDimension;
+using testing_fixtures::BuildReclassifiedDiagnosisDimension;
 using testing_fixtures::Day;
 using testing_fixtures::DiagnosisType;
 using testing_fixtures::During;
@@ -241,6 +246,177 @@ TEST(RollupIndexTest, GateFailsOnTemporalOrNonStrictHierarchies) {
   EXPECT_FALSE(gated->has_flat_table());
   // The dense arrays and CSR remain usable regardless of the gate.
   EXPECT_EQ(gated->value_count(), one_temporal.AllValues().size());
+}
+
+// ---- Ancestor runs -------------------------------------------------------
+
+/// Checks every run of `index` against AncestorsView of `dimension`
+/// filtered by category (top excluded): same containments in the same
+/// order, equal lifespans, bit-equal probabilities.
+void ExpectRunsMatchAncestorsView(const Dimension& dimension,
+                                  const RollupIndex& index) {
+  ASSERT_EQ(index.value_count(), dimension.AllValues().size());
+  std::size_t containments = 0;
+  for (ValueId v : dimension.AllValues()) {
+    const std::uint32_t d = index.DenseOf(v);
+    ASSERT_NE(d, RollupIndex::kNone);
+    for (CategoryTypeIndex c = 0; c < dimension.type().category_count();
+         ++c) {
+      std::vector<Dimension::Containment> expected;
+      if (v != dimension.top_value()) {
+        for (const Dimension::Containment& a : dimension.AncestorsView(v)) {
+          if (a.value != dimension.top_value() &&
+              *dimension.CategoryOf(a.value) == c) {
+            expected.push_back(a);
+          }
+        }
+      }
+      const RollupIndex::RunEntry* run = index.RunBegin(d, c);
+      ASSERT_EQ(static_cast<std::size_t>(index.RunEnd(d, c) - run),
+                expected.size())
+          << "value " << v.raw() << " category " << c;
+      for (std::size_t k = 0; k < expected.size(); ++k, ++run) {
+        EXPECT_EQ(index.ValueOf(run->ancestor), expected[k].value);
+        EXPECT_EQ(index.RunLife(*run), expected[k].life);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(run->prob),
+                  std::bit_cast<std::uint64_t>(expected[k].prob));
+        ++containments;
+      }
+    }
+  }
+  EXPECT_GT(containments, 0u);
+}
+
+TEST(RollupIndexTest, AncestorRunsMatchAncestorsViewByCategory) {
+  // A non-strict, temporal hierarchy fails the flat-table gate, yet its
+  // runs carry every closure containment.
+  Dimension reclassified = BuildReclassifiedDiagnosisDimension();
+  auto index = RollupIndex::For(reclassified);
+  EXPECT_FALSE(index->has_flat_table());
+  ExpectRunsMatchAncestorsView(reclassified, *index);
+  // 13 reaches family 7 and family 9 at their own bitemporal spans, and
+  // family 10 with the edge's probability.
+  const CategoryTypeIndex family =
+      *reclassified.type().Find("Diagnosis Family");
+  const std::uint32_t d13 = index->DenseOf(ValueId(13));
+  EXPECT_EQ(index->RunEnd(d13, family) - index->RunBegin(d13, family), 3);
+
+  // A strict, non-temporal hierarchy: runs of length one, consistent
+  // with the flat table.
+  Dimension strict = BuildStrictDimension();
+  auto strict_index = RollupIndex::For(strict);
+  ASSERT_TRUE(strict_index->has_flat_table());
+  ExpectRunsMatchAncestorsView(strict, *strict_index);
+}
+
+TEST(RollupIndexTest, PatchedRunsEqualBuiltRuns) {
+  for (bool strict : {true, false}) {
+    SCOPED_TRACE(strict ? "strict" : "reclassified");
+    // Two copies taken before any compile: `patched` is compiled, then
+    // appended to; `built` only sees the final state.
+    const Dimension base =
+        strict ? BuildStrictDimension() : BuildReclassifiedDiagnosisDimension();
+    Dimension patched = base;
+    Dimension built = base;
+    ExecStats stats;
+    auto before = RollupIndex::For(patched, &stats);
+    const bool had_flat_table = before->has_flat_table();
+
+    const auto append = [](Dimension& dimension) {
+      const DimensionType& type = dimension.type();
+      const CategoryTypeIndex low = *type.Find("Low-level Diagnosis");
+      const CategoryTypeIndex family = *type.Find("Diagnosis Family");
+      const std::vector<ValueId> families = dimension.ValuesIn(family);
+      // One fresh leaf under one family, one under two (a second family
+      // only on a valid-time span, with a probability).
+      const ValueId single = *dimension.AddValueAuto(low);
+      EXPECT_TRUE(dimension.AddOrder(single, families.front()).ok());
+      const ValueId twice = *dimension.AddValueAuto(low);
+      EXPECT_TRUE(dimension.AddOrder(twice, families.front()).ok());
+      EXPECT_TRUE(dimension
+                      .AddOrder(twice, families.back(),
+                                During("[01/01/90-NOW]"), 0.4)
+                      .ok());
+    };
+    const std::uint64_t structural = patched.structural_version();
+    append(patched);
+    append(built);
+    ASSERT_EQ(patched.structural_version(), structural)
+        << "appends must stay patchable";
+
+    auto after = RollupIndex::For(patched, &stats);
+    EXPECT_EQ(stats.rollup_patches, 1u);
+    ExecStats build_stats;
+    auto from_scratch = RollupIndex::For(built, &build_stats);
+    EXPECT_EQ(build_stats.rollup_patches, 0u);
+    ExpectRunsMatchAncestorsView(patched, *after);
+    // Same runs as Build, entry for entry, and the same gate verdict: the
+    // leaf under two families drops the flat table either way.
+    ASSERT_EQ(after->value_count(), from_scratch->value_count());
+    const std::size_t categories = patched.type().category_count();
+    for (std::uint32_t d = 0; d < after->value_count(); ++d) {
+      ASSERT_EQ(after->ValueOf(d), from_scratch->ValueOf(d));
+      for (CategoryTypeIndex c = 0; c < categories; ++c) {
+        const RollupIndex::RunEntry* a = after->RunBegin(d, c);
+        const RollupIndex::RunEntry* b = from_scratch->RunBegin(d, c);
+        ASSERT_EQ(after->RunEnd(d, c) - a, from_scratch->RunEnd(d, c) - b);
+        for (; a != after->RunEnd(d, c); ++a, ++b) {
+          EXPECT_EQ(a->ancestor, b->ancestor);
+          EXPECT_EQ(after->RunLife(*a), from_scratch->RunLife(*b));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a->prob),
+                    std::bit_cast<std::uint64_t>(b->prob));
+        }
+      }
+    }
+    EXPECT_EQ(after->has_flat_table(), from_scratch->has_flat_table());
+    EXPECT_FALSE(after->has_flat_table());
+    EXPECT_EQ(had_flat_table, strict);
+  }
+}
+
+TEST(RollupIndexTest, EditsInvalidateTheRunsWhetherPatchedOrRebuilt) {
+  Dimension dimension = BuildStrictDimension();
+  const CategoryTypeIndex low = *dimension.type().Find("Low-level Diagnosis");
+  const CategoryTypeIndex family =
+      *dimension.type().Find("Diagnosis Family");
+  const auto families_of = [&](const RollupIndex& index, ValueId v) {
+    const std::uint32_t d = index.DenseOf(v);
+    return index.RunEnd(d, family) - index.RunBegin(d, family);
+  };
+  ExecStats stats;
+  auto compiled = RollupIndex::For(dimension, &stats);
+  ASSERT_EQ(families_of(*compiled, ValueId(1)), 1);
+
+  // Every value of the fixture was appended in ascending id order, so a
+  // second family for value 1 — already in the snapshot — is still an
+  // append to the dimension: the snapshot patches, and must recompute
+  // the runs of every value appended since the last structural change,
+  // not only of values it lacks.
+  const std::uint64_t structural = dimension.structural_version();
+  ASSERT_TRUE(dimension.AddOrder(ValueId(1), ValueId(11)).ok());
+  ASSERT_EQ(dimension.structural_version(), structural);
+  auto patched = RollupIndex::For(dimension, &stats);
+  EXPECT_EQ(stats.rollup_patches, 1u);
+  EXPECT_EQ(families_of(*patched, ValueId(1)), 2);
+  EXPECT_FALSE(patched->has_flat_table());
+  ExpectRunsMatchAncestorsView(dimension, *patched);
+
+  // An explicit id below the high-water mark is structural; afterwards a
+  // second family for old value 2 changes a pre-existing closure, and the
+  // snapshot is rebuilt, not patched.
+  ASSERT_TRUE(dimension.AddValue(low, ValueId(5)).ok());
+  ASSERT_TRUE(dimension.AddOrder(ValueId(5), ValueId(10)).ok());
+  ASSERT_TRUE(dimension.AddOrder(ValueId(2), ValueId(11)).ok());
+  EXPECT_NE(dimension.structural_version(), structural);
+  auto rebuilt = RollupIndex::For(dimension, &stats);
+  EXPECT_EQ(stats.index_builds, 3u);
+  EXPECT_EQ(stats.rollup_patches, 1u);
+  EXPECT_EQ(families_of(*rebuilt, ValueId(2)), 2);
+  ExpectRunsMatchAncestorsView(dimension, *rebuilt);
+
+  // Snapshots are immutable: the first still holds one family each.
+  EXPECT_EQ(families_of(*compiled, ValueId(1)), 1);
+  EXPECT_EQ(families_of(*compiled, ValueId(2)), 1);
 }
 
 // ---- Caching and invalidation ---------------------------------------------
