@@ -1,6 +1,6 @@
-// MDQL compiler bench: optimized (rewritten + fused) plans vs the
-// tree-walk interpreter on a multi-statement roll-up/drill-down session
-// over the clinical workload, with per-rule ablations
+// MDQL compiler bench: the walk over the optimized (rewritten) plan vs
+// the tree-walk interpreter on a multi-statement roll-up/drill-down
+// session over the clinical workload, with a rule ablation
 // (docs/mdql_compiler.md).
 //
 //   $ ./bench/bench_mdql_plan
@@ -10,9 +10,9 @@
 // output is checked byte-for-byte against the tree-walk baseline — the
 // bench never reports a speedup for wrong answers. That check is each
 // session's first pass, before the plan cache holds anything, so the
-// plan counters (rewrites, fused pipelines, fallbacks) are taken from it:
-// they show what the compiler did for one pass over the session. Results
-// go to stdout and BENCH_plan.json (with peak RSS).
+// plan counters (rewrites, one-scan plans, multi-scan plans) are taken
+// from it: they show what the compiler did for one pass over the
+// session. Results go to stdout and BENCH_plan.json (with peak RSS).
 
 #include <chrono>
 #include <cstdio>
@@ -62,21 +62,11 @@ std::vector<Config> Configs() {
   }
   configs.push_back({"compiled", {}});
   {
-    Config c{"rewrites-only", {}};  // rules run, fusion falls back
-    c.options.enable_fusion = false;
-    configs.push_back(c);
-  }
-  {
-    Config c{"no-hoist-merge", {}};  // siblings never merge -> fallback
+    // Siblings never merge: one stream per aggregate.
+    Config c{"no-hoist-merge", {}};
     c.options.rewrites.rule_mask =
         mdql::kAllRules &
         ~(mdql::kRuleHoistTimeslice | mdql::kRuleMergeSiblingAggregates);
-    configs.push_back(c);
-  }
-  {
-    Config c{"no-prune", {}};  // dead dims unlicensed -> fallback
-    c.options.rewrites.rule_mask =
-        mdql::kAllRules & ~mdql::kRulePruneDeadDimensions;
     configs.push_back(c);
   }
   return configs;

@@ -197,6 +197,21 @@ Result<MdObject> StarJoin(
   return Select(mo, predicate);
 }
 
+std::string GroupLabel(const Dimension& dimension, ValueId value,
+                       const std::string& representation, Chronon at) {
+  std::string label = "?";
+  auto category = dimension.CategoryOf(value);
+  if (category.ok()) {
+    auto rep = dimension.FindRepresentation(*category, representation);
+    if (rep.ok()) {
+      auto text = (*rep)->Get(value, at);
+      if (text.ok()) label = *text;
+    }
+  }
+  if (label == "?") label = StrCat("id:", value.raw());
+  return label;
+}
+
 Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
                                          const std::vector<SqlGroupBy>& group_by,
                                          const AggFunction& function,
@@ -221,24 +236,13 @@ Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
     SqlRow row;
     for (const SqlGroupBy& column : group_by) {
       auto pairs = aggregated.relation(column.dim).ForFact(group);
-      std::string label = "?";
-      if (!pairs.empty()) {
-        ValueId value = pairs.front()->value;
-        // New dimension indices: the restricted dimension keeps the
-        // category name; find the representation there.
-        const Dimension& dimension = aggregated.dimension(column.dim);
-        auto category = dimension.CategoryOf(value);
-        if (category.ok()) {
-          auto rep =
-              dimension.FindRepresentation(*category, column.representation);
-          if (rep.ok()) {
-            auto text = (*rep)->Get(value, at);
-            if (text.ok()) label = *text;
-          }
-        }
-        if (label == "?") label = StrCat("id:", value.raw());
-      }
-      row.group.push_back(std::move(label));
+      // New dimension indices: the restricted dimension keeps the
+      // category name; find the representation there.
+      row.group.push_back(
+          pairs.empty() ? "?"
+                        : GroupLabel(aggregated.dimension(column.dim),
+                                     pairs.front()->value,
+                                     column.representation, at));
     }
     auto result_pairs = aggregated.relation(result_dim).ForFact(group);
     if (!result_pairs.empty()) {

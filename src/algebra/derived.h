@@ -78,6 +78,12 @@ struct SqlGroupBy {
   std::string representation = "Code";
 };
 
+/// The label SqlAggregate gives a group's grouping value: the text of
+/// the value's `representation` in its own category at chronon `at`, or
+/// "id:<raw id>" when there is none.
+std::string GroupLabel(const Dimension& dimension, ValueId value,
+                       const std::string& representation, Chronon at);
+
 /// SQL-like aggregation ("SELECT r(e_1), g(..) .. GROUP BY C_1, .."):
 /// aggregate formation followed by reading the grouping values'
 /// representations. Rows are sorted by their group labels. Dimensions not

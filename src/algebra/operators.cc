@@ -1401,10 +1401,15 @@ Result<MdObject> AssembleAggregateResult(
     capture->summarizability = summarizability;
     capture->dim_versions.clear();
     capture->dim_structural_versions.clear();
+    capture->dim_value_counts.clear();
+    capture->dim_edge_counts.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      capture->dim_versions.push_back(mo.dimension(i).version());
+      const Dimension& dimension = mo.dimension(i);
+      capture->dim_versions.push_back(dimension.version());
       capture->dim_structural_versions.push_back(
-          mo.dimension(i).structural_version());
+          dimension.structural_version());
+      capture->dim_value_counts.push_back(dimension.value_count());
+      capture->dim_edge_counts.push_back(dimension.edges().size());
     }
     // Explicit result specs route results through a caller mapper whose
     // interning order a fold cannot reproduce; only auto captures resume.
@@ -1625,6 +1630,8 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   }
   if (spec.grouping.size() != n || state.dim_versions.size() != n ||
       state.dim_structural_versions.size() != n ||
+      state.dim_value_counts.size() != n ||
+      state.dim_edge_counts.size() != n ||
       state.summarizability.strict_path.size() != n ||
       state.summarizability.partitioning.size() != n) {
     return Status::InvalidArgument(
@@ -1649,11 +1656,22 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                " counts re-weigh every member)"));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (mo.dimension(i).structural_version() !=
-        state.dim_structural_versions[i]) {
+    const Dimension& dimension = mo.dimension(i);
+    if (dimension.structural_version() != state.dim_structural_versions[i]) {
       return Status::InvalidArgument(
-          StrCat("dimension '", mo.dimension(i).name(),
+          StrCat("dimension '", dimension.name(),
                  "' changed structurally since the fold state was captured"));
+    }
+    // An append-classed edge under a child that predates the capture
+    // gives old facts coordinates the captured groups never saw.
+    if (spec.grouping[i] == dimension.type().top()) continue;
+    const std::vector<Dimension::Edge>& edges = dimension.edges();
+    for (std::size_t e = state.dim_edge_counts[i]; e < edges.size(); ++e) {
+      if (!dimension.AddedAfter(edges[e].child, state.dim_value_counts[i])) {
+        return Status::InvalidArgument(
+            StrCat("dimension '", dimension.name(), "' gained an edge under "
+                   "a value that predates the fold state"));
+      }
     }
   }
   if (spec.enforce_aggregation_types) {

@@ -151,6 +151,13 @@ struct AggregateFoldState {
   /// fold recomputes just the (dimension-local) partitioning bit.
   std::vector<std::uint64_t> dim_versions;
   std::vector<std::uint64_t> dim_structural_versions;
+  /// Per argument dimension: value and edge counts at capture. An edge
+  /// appended since then keeps every old fact's coordinates only when
+  /// its child was added after the capture; Dimension::AddOrder also
+  /// classes an edge under an older child as an append when that child
+  /// is past the append watermark, and the fold then refuses.
+  std::vector<std::size_t> dim_value_counts;
+  std::vector<std::size_t> dim_edge_counts;
   bool valid = false;
 };
 

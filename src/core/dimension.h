@@ -138,6 +138,12 @@ class Dimension {
 
   std::size_t value_count() const { return value_ids_.size(); }
 
+  /// True when `id` was added after the dimension held `value_count`
+  /// values (or is not a value of it): values keep their insertion slot.
+  bool AddedAfter(ValueId id, std::size_t value_count) const {
+    return SlotOf(id) >= value_count;
+  }
+
   // ---- Partial order queries --------------------------------------------
 
   /// The maximal lifespan during which e1 <= e2 (empty when incomparable).

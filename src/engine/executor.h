@@ -164,17 +164,17 @@ struct ExecStats {
   /// Logical-plan rewrite rules fired by the MDQL compiler (one count
   /// per rule application, summed over the statement's rewrite loop).
   std::size_t rewrites_applied = 0;
-  /// Statements answered by a fused physical pipeline (facts streamed
-  /// straight from the CSR spans into the group-by kernels, no
-  /// intermediate MO materialized).
+  /// Compiled statements whose whole plan ran as one scan: a single
+  /// stream over the catalog MO (timesliced or not), facts read straight
+  /// from the CSR spans into the group-by kernels, WHERE as a keep mask.
   std::size_t fused_pipelines = 0;
-  /// Statements the compiler planned but could not cover with a fused
-  /// pipeline, falling back to the tree-walk interpreter (results are
-  /// byte-identical either way).
+  /// Compiled statements whose plan needed more than one scan (one
+  /// stream per unmerged aggregate) or materialized an interior Select,
+  /// Join or Aggregate. Results are byte-identical either way.
   std::size_t plan_fallbacks = 0;
-  /// Statements answered by a session's compiled-plan cache (keyed on
-  /// statement text + MO version), skipping parse-tree lowering and the
-  /// rewrite loop entirely.
+  /// Statements answered by a session's plan cache (the rewritten plan,
+  /// keyed on statement text + MO version), skipping parse-tree lowering
+  /// and the rewrite loop entirely.
   std::size_t plan_cache_hits = 0;
   /// Aggregate results produced by FoldAggregateAppend — a captured
   /// formation resumed over appended facts instead of re-scanned.

@@ -21,6 +21,20 @@ Result<ResolvedLevel> Resolve(const MdObject& mo, const LevelRef& level) {
   return ResolvedLevel{dim, category};
 }
 
+Result<std::vector<CategoryTypeIndex>> ResolveGrouping(
+    const MdObject& mo, const std::vector<GroupRef>& group_by) {
+  std::vector<CategoryTypeIndex> grouping;
+  grouping.reserve(mo.dimension_count());
+  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
+    grouping.push_back(mo.dimension(i).type().top());
+  }
+  for (const GroupRef& group : group_by) {
+    MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, group.level));
+    grouping[level.dim] = level.category;
+  }
+  return grouping;
+}
+
 Result<ValueId> ResolveValueByName(const MdObject& mo,
                                    const ResolvedLevel& level,
                                    const std::string& text,

@@ -29,6 +29,12 @@ struct ResolvedLevel {
 
 Result<ResolvedLevel> Resolve(const MdObject& mo, const LevelRef& level);
 
+/// The grouping vector a group-by list induces on `mo`: top for every
+/// dimension, then one overwrite per column (the last column on a
+/// dimension wins).
+Result<std::vector<CategoryTypeIndex>> ResolveGrouping(
+    const MdObject& mo, const std::vector<GroupRef>& group_by);
+
 /// Finds the dimension value named `text` in the given category by
 /// trying every representation registered for it. NotFound if no
 /// representation knows the name. Each probe is an interned-hash lookup
@@ -54,8 +60,8 @@ Result<AggFunction> BuildAggFunction(const MdObject& mo, const AggRef& agg);
 
 /// The tree-walk interpreter for SELECT: timeslice, then a materialized
 /// Select, then one full AggregateFormation per aggregate, merged by
-/// group labels. The compiled pipeline's differential baseline and its
-/// automatic fallback for uncovered plan shapes.
+/// group labels. The reference the compiled plan walk is compared
+/// against; a session reaches it only with enable_compiler = false.
 Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
                                           const SelectStatement& select,
                                           ExecContext* exec);

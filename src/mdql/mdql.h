@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "core/md_object.h"
 #include "mdql/ast.h"
+#include "mdql/plan.h"
 #include "mdql/rewrite.h"
 
 namespace mddc {
@@ -108,10 +109,11 @@ class Session {
                               ExecContext* exec = nullptr);
 
   /// Compiler configuration for this session's SELECTs (rewrite.h). The
-  /// default compiles and fuses everything; the stress oracle's replay
-  /// session turns the compiler off to serve as the interpreted side of
-  /// a compiled-vs-interpreted differential. Changing the options drops
-  /// the plan cache — cached decisions were made under the old rules.
+  /// default compiles every SELECT and walks its rewritten plan; the
+  /// stress oracle's replay session turns the compiler off to serve as
+  /// the interpreted side of a compiled-vs-interpreted differential.
+  /// Changing the options drops the plan cache — cached plans were
+  /// rewritten under the old rules.
   void set_compile_options(const CompileOptions& options) {
     compile_options_ = options;
     plan_cache_.clear();
@@ -119,14 +121,15 @@ class Session {
   const CompileOptions& compile_options() const { return compile_options_; }
 
  private:
-  /// One plan-cache entry: the compiler's fuse-or-fallback decision for
-  /// a statement text, valid while the target MO is at `version`. The
-  /// decision is the whole compiled artifact — the fused stream executes
-  /// straight off the AST — so a hit skips lowering, the rewrite
-  /// fixpoint and the shape check entirely (stats.plan_cache_hits).
+  /// One plan-cache entry: the rewritten plan for a statement text,
+  /// valid while the target MO is at `version`. The plan owns everything
+  /// it reads from the statement (the WHERE tree included) and borrows
+  /// only the catalog MO `mo`, so a hit skips lowering and the rewrite
+  /// fixpoint and runs the plan as it stands (stats.plan_cache_hits).
   struct PlanCacheEntry {
     std::uint64_t version = 0;
-    bool fused = false;
+    const MdObject* mo = nullptr;
+    PlanRef plan;
   };
 
   Result<QueryResult> ExecuteImpl(const Statement& statement,
@@ -140,8 +143,8 @@ class Session {
   /// spans MOs). Bounded: wholesale-cleared at capacity.
   std::map<std::string, PlanCacheEntry, std::less<>> plan_cache_;
   /// Per-MO mutation counters: bumped on Register and on every
-  /// successful INSERT/DELETE, so cached plan decisions made against an
-  /// older shape of the MO self-invalidate.
+  /// successful INSERT/DELETE, so cached plans compiled against an older
+  /// shape of the MO self-invalidate.
   std::map<std::string, std::uint64_t, std::less<>> catalog_versions_;
 };
 

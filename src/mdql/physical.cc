@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -21,149 +20,200 @@ namespace mddc {
 namespace mdql {
 namespace {
 
-/// Decides whether the optimized plan is the shape the fused stream
-/// covers: one merge branch, one multi-function aggregate, an operator
-/// chain of at most one select over at most one timeslice over the
-/// scan, no grouping at TOP, and dead dimensions licensed for pruning.
-/// Returns the aggregate node, or null with a human-readable reason
-/// (EXPLAIN prints it).
-const PlanNode* FusedShape(const PlanRef& plan, const MdObject& source,
-                           std::string* reason) {
-  if (plan == nullptr || plan->kind != PlanKind::kMerge) {
-    *reason = "plan root is not a merge";
-    return nullptr;
+using MoRef = std::shared_ptr<const MdObject>;
+
+/// The interpreter's row set: group labels -> one value per aggregate of
+/// the plan ("-" until that aggregate writes the row).
+using MergedRows = std::map<std::vector<std::string>, std::vector<std::string>>;
+
+/// The Aggregate branches of a plan root: a Merge's children, or the root
+/// itself. Every branch must group alike, or the merged rows would not
+/// line up.
+Result<std::vector<const PlanNode*>> Branches(const PlanRef& plan) {
+  if (plan == nullptr) return Status::InvalidArgument("null plan");
+  std::vector<const PlanNode*> branches;
+  if (plan->kind == PlanKind::kMerge) {
+    for (const PlanRef& child : plan->children) branches.push_back(child.get());
+  } else {
+    branches.push_back(plan.get());
   }
-  if (plan->children.size() != 1) {
-    *reason = "merge has several branches (sibling aggregates not merged)";
-    return nullptr;
-  }
-  const PlanNode* agg = plan->children[0].get();
-  if (agg->kind != PlanKind::kAggregate) {
-    *reason = "merge branch is not an aggregate";
-    return nullptr;
-  }
-  const PlanNode* cur = agg->children[0].get();
-  bool seen_select = false;
-  bool seen_timeslice = false;
-  while (cur->kind != PlanKind::kScan) {
-    if (cur->kind == PlanKind::kSelect && !seen_select && !seen_timeslice) {
-      seen_select = true;
-    } else if (cur->kind == PlanKind::kTimeslice && !seen_timeslice) {
-      seen_timeslice = true;
-    } else {
-      *reason = "operator chain is not select/timeslice/scan";
-      return nullptr;
+  if (branches.empty()) return Status::InvalidArgument("merge has no branches");
+  for (const PlanNode* branch : branches) {
+    if (branch->kind != PlanKind::kAggregate) {
+      return Status::InvalidArgument(
+          "a plan renders rows only from aggregates (or a merge of them)");
     }
-    if (cur->children.size() != 1) {
-      *reason = "operator chain branches";
-      return nullptr;
+    if (!SameGroupBy(branch->group_by, branches[0]->group_by)) {
+      return Status::InvalidArgument("merge branches group differently");
     }
-    cur = cur->children[0].get();
   }
-  std::set<std::size_t> dims;
-  for (const GroupRef& group : agg->group_by) {
-    auto level = Resolve(source, group.level);
-    // An unresolvable column surfaces the identical Status on both
-    // paths at execution time; it does not block fusion.
-    if (!level.ok()) continue;
-    if (level->category == source.dimension(level->dim).type().top()) {
-      *reason = "grouping at TOP is not fused";
-      return nullptr;
-    }
-    dims.insert(level->dim);
-  }
-  if (dims.size() < source.dimension_count() && !agg->prune_dead) {
-    *reason = "dead dimensions present but pruning not licensed";
-    return nullptr;
-  }
-  return agg;
+  return branches;
 }
 
-/// The fused pipeline: timeslice once, push the WHERE down to a keep
-/// mask, stream every aggregate through one scan, and render groups the
-/// way the interpreter does — including its (labels, value)-sorted
-/// per-aggregate overwrite when distinct groups share a label tuple.
-/// Every step replays the interpreter's operation order, so the first
-/// error (and the rendered bytes) match it exactly.
-Result<QueryResult> ExecuteFused(const MdObject& source,
-                                 const SelectStatement& select,
-                                 ExecContext* exec) {
-  const MdObject* work = &source;
-  std::optional<MdObject> sliced;
-  if (select.as_of.has_value()) {
-    Chronon day = kNowChronon;
-    if (*select.as_of != "NOW") {
-      MDDC_ASSIGN_OR_RETURN(day, ParseDate(*select.as_of));
-    }
-    MDDC_ASSIGN_OR_RETURN(MdObject cut, ValidTimeslice(source, day, exec));
-    sliced.emplace(std::move(cut));
-    work = &*sliced;
-  }
-  const MdObject& mo = *work;
-  const std::size_t n = mo.dimension_count();
+/// The Select an Aggregate consumes as its keep mask, or null.
+const PlanNode* KeepMaskSelect(const PlanNode& aggregate) {
+  const PlanNode* child = aggregate.children[0].get();
+  return child->kind == PlanKind::kSelect && child->where != nullptr ? child
+                                                                     : nullptr;
+}
 
-  QueryResult result;
-  for (const GroupRef& group : select.group_by) {
-    result.columns.push_back(
-        StrCat(group.level.dimension, ".", group.level.category));
+/// The node whose MO an Aggregate's stream scans (below its keep mask).
+const PlanRef& StreamInput(const PlanNode& aggregate) {
+  const PlanRef& child = aggregate.children[0];
+  return KeepMaskSelect(aggregate) != nullptr ? child->children[0] : child;
+}
+
+/// One statement's walk. Interior nodes materialize at most once each
+/// (a hoisted chain shared by several branches is sliced and filtered
+/// once); the walk counts the streams it runs and the interior nodes
+/// other than the timeslice that it materializes.
+class PlanWalk {
+ public:
+  explicit PlanWalk(ExecContext* exec) : exec_(exec) {}
+
+  Result<MoRef> Input(const PlanRef& node) {
+    if (auto it = memo_.find(node.get()); it != memo_.end()) return it->second;
+    MDDC_ASSIGN_OR_RETURN(MoRef out, Materialize(*node));
+    memo_.emplace(node.get(), out);
+    return out;
   }
-  for (const AggRef& agg : select.aggregates) {
-    result.columns.push_back(agg.label);
+
+  /// Streams one Aggregate branch and folds its rows into `merged`, its
+  /// functions writing value columns first, first + 1, ... of rows
+  /// `width` values wide.
+  Status Stream(const PlanNode& aggregate, std::size_t first,
+                std::size_t width, MergedRows* merged);
+
+  bool one_scan() const { return streams_ == 1 && interior_ == 0; }
+
+ private:
+  Result<MoRef> Materialize(const PlanNode& node);
+
+  ExecContext* exec_;
+  std::map<const PlanNode*, MoRef> memo_;
+  std::size_t streams_ = 0;
+  std::size_t interior_ = 0;
+};
+
+Result<MoRef> PlanWalk::Materialize(const PlanNode& node) {
+  switch (node.kind) {
+    case PlanKind::kScan:
+      if (node.mo == nullptr) {
+        return Status::InvalidArgument(
+            StrCat("scan of '", node.mo_name, "' has no bound MO"));
+      }
+      // Borrowed: an aliasing pointer with no owner, never a copy.
+      return MoRef(MoRef(), node.mo);
+    case PlanKind::kTimeslice: {
+      MDDC_ASSIGN_OR_RETURN(MoRef child, Input(node.children[0]));
+      // ASOF 'NOW' slices at the growing NOW sentinel (see
+      // ExecuteSelectTreeWalk).
+      Chronon day = kNowChronon;
+      if (node.as_of != "NOW") {
+        MDDC_ASSIGN_OR_RETURN(day, ParseDate(node.as_of));
+      }
+      MDDC_ASSIGN_OR_RETURN(MdObject sliced,
+                            ValidTimeslice(*child, day, exec_));
+      return std::make_shared<const MdObject>(std::move(sliced));
+    }
+    case PlanKind::kSelect: {
+      MDDC_ASSIGN_OR_RETURN(MoRef child, Input(node.children[0]));
+      if (node.where == nullptr) return child;
+      ++interior_;
+      MDDC_ASSIGN_OR_RETURN(Predicate predicate,
+                            BuildWhere(*child, *node.where, exec_));
+      MDDC_ASSIGN_OR_RETURN(MdObject selected, Select(*child, predicate));
+      return std::make_shared<const MdObject>(std::move(selected));
+    }
+    case PlanKind::kAggregate: {
+      MDDC_ASSIGN_OR_RETURN(MoRef child, Input(node.children[0]));
+      ++interior_;
+      if (node.aggregates.size() != 1) {
+        return Status::InvalidArgument(
+            "an aggregate feeding an operator must fold exactly one "
+            "function");
+      }
+      MDDC_ASSIGN_OR_RETURN(std::vector<CategoryTypeIndex> grouping,
+                            ResolveGrouping(*child, node.group_by));
+      MDDC_ASSIGN_OR_RETURN(AggFunction function,
+                            BuildAggFunction(*child, node.aggregates[0]));
+      AggregateSpec spec{std::move(function), std::move(grouping)};
+      MDDC_ASSIGN_OR_RETURN(MdObject formed,
+                            AggregateFormation(*child, spec, exec_));
+      return std::make_shared<const MdObject>(std::move(formed));
+    }
+    case PlanKind::kMerge:
+      if (node.children.size() == 1) return Input(node.children[0]);
+      return Status::InvalidArgument(
+          "a merge of several branches renders rows; it cannot feed an "
+          "operator");
+    case PlanKind::kJoin: {
+      MDDC_ASSIGN_OR_RETURN(MoRef left, Input(node.children[0]));
+      MDDC_ASSIGN_OR_RETURN(MoRef right, Input(node.children[1]));
+      ++interior_;
+      MDDC_ASSIGN_OR_RETURN(MdObject joined,
+                            Join(*left, *right, node.join_predicate, exec_));
+      return std::make_shared<const MdObject>(std::move(joined));
+    }
   }
+  return Status::InvalidArgument("unknown plan node");
+}
+
+/// Every step replays the interpreter's operation order (input, WHERE,
+/// grouping columns, then bind-and-run per function), so the first error
+/// and the rendered bytes match it exactly.
+Status PlanWalk::Stream(const PlanNode& aggregate, std::size_t first,
+                        std::size_t width, MergedRows* merged) {
+  MDDC_ASSIGN_OR_RETURN(MoRef input, Input(StreamInput(aggregate)));
+  const MdObject& mo = *input;
+  const std::size_t n = mo.dimension_count();
 
   // Selection pushdown: sigma's fact scan, recorded as a mask instead of
   // a materialized MO (a kept fact's coordinates are identical in both).
   std::vector<bool> keep;
-  const std::vector<bool>* keep_ptr = nullptr;
-  if (select.where != nullptr) {
+  if (const PlanNode* select = KeepMaskSelect(aggregate)) {
     MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                          BuildWhere(mo, *select.where, exec));
+                          BuildWhere(mo, *select->where, exec_));
     MDDC_ASSIGN_OR_RETURN(
         keep,
-        predicate.EvaluateAll(mo, exec != nullptr ? &exec->stats : nullptr));
-    keep_ptr = &keep;
+        predicate.EvaluateAll(mo, exec_ != nullptr ? &exec_->stats : nullptr));
   }
 
+  MDDC_ASSIGN_OR_RETURN(const std::vector<CategoryTypeIndex> grouping,
+                        ResolveGrouping(mo, aggregate.group_by));
   struct Column {
     std::size_t dim;
     std::string representation;
   };
   std::vector<Column> columns;
-  columns.reserve(select.group_by.size());
-  std::vector<CategoryTypeIndex> grouping(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grouping[i] = mo.dimension(i).type().top();
-  }
-  for (const GroupRef& group : select.group_by) {
-    MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, group.level));
+  columns.reserve(aggregate.group_by.size());
+  for (const GroupRef& group : aggregate.group_by) {
+    const ResolvedLevel level = *Resolve(mo, group.level);
     columns.push_back(
         Column{level.dim, PickRepresentation(mo, level, group.representation)});
-    grouping[level.dim] = level.category;
   }
 
-  // Bind the functions in statement order. The interpreter interleaves
-  // bind(a) / run(a); a bind failure therefore surfaces only after every
-  // earlier aggregate ran clean — so the bound prefix streams first and
-  // the remembered bind error returns only when the stream succeeds.
-  std::vector<AggFunction> functions;
-  functions.reserve(select.aggregates.size());
+  // The interpreter interleaves bind(a) / run(a); a bind failure
+  // therefore surfaces only after every earlier function ran clean — so
+  // the bound prefix streams first and the remembered bind error returns
+  // only when the stream succeeds.
+  StreamSpec spec;
+  spec.functions.reserve(aggregate.aggregates.size());
   Status bind_error = Status::OK();
-  for (const AggRef& agg : select.aggregates) {
+  for (const AggRef& agg : aggregate.aggregates) {
     auto function = BuildAggFunction(mo, agg);
     if (!function.ok()) {
       bind_error = function.status();
       break;
     }
-    functions.push_back(*function);
+    spec.functions.push_back(*function);
   }
-
-  StreamSpec spec;
-  spec.functions = std::move(functions);
   spec.grouping = grouping;
   spec.prob_at = kNowChronon;
-  spec.keep = keep_ptr;
+  spec.keep = KeepMaskSelect(aggregate) != nullptr ? &keep : nullptr;
+  ++streams_;
   MDDC_ASSIGN_OR_RETURN(std::vector<StreamGroup> groups,
-                        AggregateStream(mo, spec, exec));
+                        AggregateStream(mo, spec, exec_));
   if (!bind_error.ok()) return bind_error;
 
   // The formation interns every group as a set-fact, so two groups with
@@ -193,34 +243,26 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
     }
   }
 
-  // Group labels, via the same representation chain SqlAggregate uses;
-  // the stream key value IS the single value the formation would relate
-  // the group fact to, so the lookups see identical inputs.
+  // Group labels, via SqlAggregate's GroupLabel. The stream key value IS
+  // the single value the formation relates the group fact to; a
+  // dimension grouped at TOP is not scanned, and the formation relates
+  // every group to its top value.
   std::vector<std::vector<std::string>> labels(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     labels[g].reserve(columns.size());
     for (const Column& column : columns) {
       const Dimension& dimension = mo.dimension(column.dim);
-      const ValueId value = groups[g].key[live_pos[column.dim]];
-      std::string label = "?";
-      auto category = dimension.CategoryOf(value);
-      if (category.ok()) {
-        auto rep =
-            dimension.FindRepresentation(*category, column.representation);
-        if (rep.ok()) {
-          auto text = (*rep)->Get(value, kNowChronon);
-          if (text.ok()) label = *text;
-        }
-      }
-      if (label == "?") label = StrCat("id:", value.raw());
-      labels[g].push_back(std::move(label));
+      const ValueId value = grouping[column.dim] == dimension.type().top()
+                                ? dimension.top_value()
+                                : groups[g].key[live_pos[column.dim]];
+      labels[g].push_back(GroupLabel(dimension, value, column.representation,
+                                     kNowChronon));
     }
   }
 
   // The interpreter merges each aggregate's (label, value) rows — sorted
-  // by group labels then value — into a map, overwriting on label ties.
+  // by group labels then value — into the map, overwriting on label ties.
   // Replay that loop verbatim over the streamed values.
-  std::map<std::vector<std::string>, std::vector<std::string>> merged;
   for (std::size_t a = 0; a < spec.functions.size(); ++a) {
     std::vector<std::size_t> order(groups.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -229,48 +271,79 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
       return groups[x].values[a] < groups[y].values[a];
     });
     for (std::size_t g : order) {
-      auto [it, inserted] = merged.try_emplace(
-          labels[g],
-          std::vector<std::string>(select.aggregates.size(), "-"));
-      it->second[a] = FormatDouble(groups[g].values[a]);
+      auto [it, inserted] = merged->try_emplace(
+          labels[g], std::vector<std::string>(width, "-"));
+      it->second[first + a] = FormatDouble(groups[g].values[a]);
     }
+  }
+  return Status::OK();
+}
+
+/// The operator chain the walk runs to produce `node`'s MO, bottom-up;
+/// sets `*interior` when it materializes a node other than the
+/// timeslice.
+std::string DescribeInput(const PlanNode& node, bool* interior) {
+  if (node.kind == PlanKind::kScan) return StrCat("scan ", node.mo_name);
+  std::vector<std::string> inputs;
+  for (const PlanRef& child : node.children) {
+    inputs.push_back(DescribeInput(*child, interior));
+  }
+  if (node.kind == PlanKind::kTimeslice) return inputs[0] + " -> timeslice";
+  if (node.kind == PlanKind::kMerge ||
+      (node.kind == PlanKind::kSelect && node.where == nullptr)) {
+    return Join(inputs, " + ");
+  }
+  *interior = true;
+  if (node.kind == PlanKind::kJoin) {
+    return StrCat("join [materialized] (", Join(inputs, ", "), ")");
+  }
+  return StrCat(inputs[0], node.kind == PlanKind::kSelect ? " -> select"
+                                                          : " -> aggregate",
+                " [materialized]");
+}
+
+}  // namespace
+
+Result<QueryResult> ExecutePlan(const PlanRef& plan, ExecContext* exec) {
+  MDDC_ASSIGN_OR_RETURN(std::vector<const PlanNode*> branches,
+                        Branches(plan));
+  QueryResult result;
+  for (const GroupRef& group : branches[0]->group_by) {
+    result.columns.push_back(
+        StrCat(group.level.dimension, ".", group.level.category));
+  }
+  for (const PlanNode* branch : branches) {
+    for (const AggRef& agg : branch->aggregates) {
+      result.columns.push_back(agg.label);
+    }
+  }
+  const std::size_t width =
+      result.columns.size() - branches[0]->group_by.size();
+
+  PlanWalk walk(exec);
+  MergedRows merged;
+  std::size_t first = 0;
+  for (const PlanNode* branch : branches) {
+    MDDC_RETURN_NOT_OK(walk.Stream(*branch, first, width, &merged));
+    first += branch->aggregates.size();
   }
   for (const auto& [group, values] : merged) {
     std::vector<std::string> row = group;
     row.insert(row.end(), values.begin(), values.end());
     result.rows.push_back(std::move(row));
   }
+  if (exec != nullptr) {
+    ++(walk.one_scan() ? exec->stats.fused_pipelines
+                       : exec->stats.plan_fallbacks);
+  }
   return result;
 }
 
-}  // namespace
-
-Result<QueryResult> ExecuteCompiledSelect(const MdObject& source,
-                                          const SelectStatement& select,
-                                          const CompileOptions& options,
-                                          ExecContext* exec,
-                                          const bool* fused_hint,
-                                          bool* fused_decision) {
-  bool fused;
-  if (fused_hint != nullptr) {
-    // Cached decision: the caller guarantees the (text, MO version) key
-    // still holds, so lower+rewrite+shape-check is skipped wholesale.
-    fused = *fused_hint;
-  } else {
-    PlanRef plan = LowerSelect(select.mo_name, &source, select);
-    RewriteOutcome rewritten =
-        Rewrite(std::move(plan), options.rewrites, exec);
-    std::string reason;
-    const PlanNode* agg = FusedShape(rewritten.plan, source, &reason);
-    fused = options.enable_fusion && agg != nullptr;
-  }
-  if (fused_decision != nullptr) *fused_decision = fused;
-  if (!fused) {
-    if (exec != nullptr) ++exec->stats.plan_fallbacks;
-    return ExecuteSelectTreeWalk(source, select, exec);
-  }
-  if (exec != nullptr) ++exec->stats.fused_pipelines;
-  return ExecuteFused(source, select, exec);
+Result<std::shared_ptr<const MdObject>> MaterializePlan(const PlanRef& plan,
+                                                        ExecContext* exec) {
+  if (plan == nullptr) return Status::InvalidArgument("null plan");
+  PlanWalk walk(exec);
+  return walk.Input(plan);
 }
 
 Result<QueryResult> ExplainStatement(const MdObject& source,
@@ -326,104 +399,42 @@ Result<QueryResult> ExplainStatement(const MdObject& source,
     line("  tree-walk interpreter (compiler disabled)");
     return result;
   }
-  std::string reason;
-  const PlanNode* agg = FusedShape(rewritten.plan, source, &reason);
-  if (!options.enable_fusion) {
-    line("  tree-walk fallback (fusion disabled)");
-    return result;
+  MDDC_ASSIGN_OR_RETURN(std::vector<const PlanNode*> branches,
+                        Branches(rewritten.plan));
+  std::vector<std::string> chains;
+  bool interior = false;
+  for (const PlanNode* branch : branches) {
+    std::string chain = DescribeInput(*StreamInput(*branch), &interior);
+    if (KeepMaskSelect(*branch) != nullptr) chain += " -> select [keep mask]";
+    chains.push_back(std::move(chain));
   }
-  if (agg == nullptr) {
-    line(StrCat("  tree-walk fallback (", reason, ")"));
-    return result;
+  if (branches.size() == 1 && !interior) {
+    line("  fused pipeline: one scan");
+  } else {
+    line(StrCat("  plan walk: ", branches.size(), " stream(s), one per merge "
+                "branch", interior ? ", interior nodes materialized" : ""));
   }
-  std::vector<CategoryTypeIndex> grouping;
-  grouping.reserve(source.dimension_count());
-  for (std::size_t i = 0; i < source.dimension_count(); ++i) {
-    grouping.push_back(source.dimension(i).type().top());
+  for (std::size_t b = 0; b < branches.size(); ++b) {
+    const PlanNode& branch = *branches[b];
+    line(StrCat("  branch ", b + 1, "/", branches.size(), ": ", chains[b],
+                " -> stream group-by"));
+    const MdObject* mo =
+        ScanMoBelow(*StreamInput(branch), /*through_timeslice=*/true);
+    auto grouping = mo != nullptr ? ResolveGrouping(*mo, branch.group_by)
+                                  : Status::NotFound("no scan below");
+    if (!grouping.ok()) {
+      line(StrCat("    stream: ", branch.aggregates.size(),
+                  " function(s), engine chosen at run time"));
+      continue;
+    }
+    const StreamProbe probe = AggregateStreamProbe(*mo, *grouping, exec);
+    line(StrCat("    stream: ", branch.aggregates.size(), " function(s), ",
+                probe.live.size(), " live dim(s), engine=",
+                probe.dense ? "dense-slots" : "flat-hash",
+                probe.all_indexed ? "" : " (rollup index unavailable)",
+                ", slot product=", probe.slot_product));
   }
-  for (const GroupRef& group : agg->group_by) {
-    auto level = Resolve(source, group.level);
-    if (level.ok()) grouping[level->dim] = level->category;
-  }
-  const StreamProbe probe = AggregateStreamProbe(source, grouping, exec);
-  line(StrCat("  fused pipeline: scan",
-              select.as_of.has_value() ? " -> timeslice" : "",
-              select.where != nullptr ? " -> select [pushed-down keep mask]"
-                                      : "",
-              " -> stream group-by"));
-  line(StrCat("  stream: ", agg->aggregates.size(), " function(s), ",
-              probe.live.size(), " live dim(s), engine=",
-              probe.dense ? "dense-slots" : "flat-hash",
-              probe.all_indexed ? "" : " (rollup index unavailable)",
-              ", slot product=", probe.slot_product));
   return result;
-}
-
-Result<MdObject> ExecutePlanMaterialized(const PlanRef& plan,
-                                         ExecContext* exec) {
-  if (plan == nullptr) return Status::InvalidArgument("null plan");
-  const PlanNode& node = *plan;
-  switch (node.kind) {
-    case PlanKind::kScan:
-      if (node.mo == nullptr) {
-        return Status::InvalidArgument(
-            StrCat("scan of '", node.mo_name, "' has no bound MO"));
-      }
-      return *node.mo;
-    case PlanKind::kTimeslice: {
-      MDDC_ASSIGN_OR_RETURN(MdObject child,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      Chronon day = kNowChronon;
-      if (node.as_of != "NOW") {
-        MDDC_ASSIGN_OR_RETURN(day, ParseDate(node.as_of));
-      }
-      return ValidTimeslice(child, day, exec);
-    }
-    case PlanKind::kSelect: {
-      MDDC_ASSIGN_OR_RETURN(MdObject child,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      if (node.where == nullptr) return child;
-      MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                            BuildWhere(child, *node.where, exec));
-      return Select(child, predicate);
-    }
-    case PlanKind::kAggregate: {
-      MDDC_ASSIGN_OR_RETURN(MdObject child,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      if (node.aggregates.size() != 1) {
-        return Status::InvalidArgument(
-            "materializing executor runs single-function aggregates only");
-      }
-      std::vector<CategoryTypeIndex> grouping;
-      grouping.reserve(child.dimension_count());
-      for (std::size_t i = 0; i < child.dimension_count(); ++i) {
-        grouping.push_back(child.dimension(i).type().top());
-      }
-      for (const GroupRef& group : node.group_by) {
-        MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(child, group.level));
-        grouping[level.dim] = level.category;
-      }
-      MDDC_ASSIGN_OR_RETURN(AggFunction function,
-                            BuildAggFunction(child, node.aggregates[0]));
-      AggregateSpec spec{std::move(function), std::move(grouping)};
-      return AggregateFormation(child, spec, exec);
-    }
-    case PlanKind::kMerge:
-      if (node.children.size() == 1) {
-        return ExecutePlanMaterialized(node.children[0], exec);
-      }
-      return Status::InvalidArgument(
-          "materializing executor cannot merge row sets; use the session "
-          "path");
-    case PlanKind::kJoin: {
-      MDDC_ASSIGN_OR_RETURN(MdObject left,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      MDDC_ASSIGN_OR_RETURN(MdObject right,
-                            ExecutePlanMaterialized(node.children[1], exec));
-      return Join(left, right, node.join_predicate, exec);
-    }
-  }
-  return Status::InvalidArgument("unknown plan node");
 }
 
 }  // namespace mdql

@@ -1,6 +1,8 @@
 #ifndef MDDC_MDQL_PHYSICAL_H_
 #define MDDC_MDQL_PHYSICAL_H_
 
+#include <memory>
+
 #include "common/result.h"
 #include "core/md_object.h"
 #include "mdql/ast.h"
@@ -14,48 +16,46 @@ struct ExecContext;  // engine/executor.h
 
 namespace mdql {
 
-/// The physical layer of compiled MDQL (docs/mdql_compiler.md): lower
-/// the SELECT to the logical IR, run the rewrite rules, and — when the
-/// optimized plan is the single fused-aggregate shape — execute it as
-/// one streaming scan (AggregateStream) that never materializes an
-/// intermediate MO. Any other shape falls back to the tree-walk
-/// interpreter and counts stats.plan_fallbacks; a fused run counts
-/// stats.fused_pipelines. The rendered result is byte-identical to the
-/// interpreter either way, at any thread count.
+/// The physical layer of compiled MDQL (docs/mdql_compiler.md): one walk
+/// over the rewritten plan DAG. The root is a Merge of Aggregate branches
+/// (or one Aggregate). Each Aggregate runs its own functions and grouping
+/// through one AggregateStream; a Select directly below it becomes the
+/// scan's keep mask instead of a materialized MO. The input below that is
+/// materialized once per statement, shared DAG nodes included: a Scan
+/// borrows the catalog MO, and Timeslice, Select, Join and nested
+/// Aggregate nodes run through the algebra operators. The Merge folds
+/// every branch's rows into one label-keyed row set with the tree-walk
+/// interpreter's overwrite order, so the rendered result is
+/// byte-identical to ExecuteSelectTreeWalk whatever rules fired, at any
+/// thread count. The columns are the first branch's group-by columns
+/// followed by every branch's aggregates in branch order; all branches
+/// must group alike.
 ///
-/// The fused stream executes straight off the AST, so the compile work
-/// (lower, rewrite fixpoint, shape check) only produces the fuse-or-
-/// fallback DECISION — which is what the session's plan cache stores.
-/// `fused_hint` (optional) replays a cached decision, skipping the
-/// compile entirely; `fused_decision` (optional) reports the decision
-/// taken so the caller can cache it. Both are keyed outside this layer
-/// on (statement text, MO version), which pins every input the decision
-/// depends on.
-Result<QueryResult> ExecuteCompiledSelect(const MdObject& source,
-                                          const SelectStatement& select,
-                                          const CompileOptions& options,
-                                          ExecContext* exec = nullptr,
-                                          const bool* fused_hint = nullptr,
-                                          bool* fused_decision = nullptr);
+/// Counts one stats.fused_pipelines when the whole plan ran as one scan
+/// (a single stream over a Scan, optionally timesliced), else one
+/// stats.plan_fallbacks (several streams, or an interior Select, Join or
+/// Aggregate materialized). A failed statement counts in neither.
+Result<QueryResult> ExecutePlan(const PlanRef& plan,
+                                ExecContext* exec = nullptr);
+
+/// The walk's input evaluation on its own: the MO `plan` produces when
+/// it feeds an operator (a Scan root is borrowed, not copied; an
+/// Aggregate must fold exactly one function; a Merge must have exactly
+/// one branch). The rewrite-rule differential tests compare a plan
+/// against its rewritten form with it at the MO level.
+Result<std::shared_ptr<const MdObject>> MaterializePlan(
+    const PlanRef& plan, ExecContext* exec = nullptr);
 
 /// EXPLAIN rendering: the logical plan before and after rewrites, the
-/// rules that fired, and the chosen physical operators (probing the
-/// stream's engine selection without scanning). Never executes the
-/// statement and never perturbs ExecStats. Non-SELECT statements render
-/// a single "direct execution" line.
+/// rules that fired, and the physical walk — one line per merge branch
+/// with the operator chain feeding its stream, then the stream's engine
+/// selection probed without scanning. Never executes the statement and
+/// never perturbs ExecStats. Non-SELECT statements render a single
+/// "direct execution" line.
 Result<QueryResult> ExplainStatement(const MdObject& source,
                                      const Statement& statement,
                                      const CompileOptions& options,
                                      ExecContext* exec = nullptr);
-
-/// Reference executor for logical plans: runs every node by
-/// materializing its full MO result (formation per aggregate, real
-/// sigma, real join). Exists for the rewrite-rule differential tests,
-/// which compare a plan against its rewritten form at the MO level;
-/// multi-function aggregates and multi-branch merges (rendering
-/// concerns, not MO algebra) are rejected.
-Result<MdObject> ExecutePlanMaterialized(const PlanRef& plan,
-                                         ExecContext* exec = nullptr);
 
 }  // namespace mdql
 }  // namespace mddc

@@ -24,11 +24,11 @@ PlanRef MakeTimeslice(PlanRef child, std::string as_of) {
   return node;
 }
 
-PlanRef MakeSelect(PlanRef child, const WhereExpr* where) {
+PlanRef MakeSelect(PlanRef child, std::shared_ptr<const WhereExpr> where) {
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanKind::kSelect;
   node->children.push_back(std::move(child));
-  node->where = where;
+  node->where = std::move(where);
   return node;
 }
 
@@ -70,7 +70,7 @@ PlanRef LowerSelect(Name mo_name, const MdObject* mo,
       chain = MakeTimeslice(std::move(chain), *select.as_of);
     }
     if (select.where != nullptr) {
-      chain = MakeSelect(std::move(chain), select.where.get());
+      chain = MakeSelect(std::move(chain), select.where);
     }
     std::vector<AggRef> aggregates;
     if (!select.aggregates.empty()) {
@@ -80,6 +80,28 @@ PlanRef LowerSelect(Name mo_name, const MdObject* mo,
                                      select.group_by));
   }
   return MakeMerge(std::move(branches));
+}
+
+const MdObject* ScanMoBelow(const PlanNode& node, bool through_timeslice) {
+  const PlanNode* cur = &node;
+  while (cur->kind == PlanKind::kSelect ||
+         (through_timeslice && cur->kind == PlanKind::kTimeslice)) {
+    cur = cur->children[0].get();
+  }
+  return cur->kind == PlanKind::kScan ? cur->mo : nullptr;
+}
+
+bool SameGroupBy(const std::vector<GroupRef>& a,
+                 const std::vector<GroupRef>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].level.dimension != b[i].level.dimension ||
+        a[i].level.category != b[i].level.category ||
+        a[i].representation != b[i].representation) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace {
@@ -159,7 +181,6 @@ std::string Describe(const PlanNode& node) {
         }
         out += StrCat(" by {", Join(parts, ", "), "}");
       }
-      if (node.prune_dead) out += " [dead dims pruned]";
       return out;
     }
     case PlanKind::kMerge:

@@ -14,11 +14,12 @@ namespace mdql {
 
 /// The logical algebra IR behind compiled MDQL (docs/mdql_compiler.md).
 /// A plan is a DAG of shared nodes: lowering gives every SELECT-list
-/// aggregate its own operator chain over one shared Scan, and the
-/// rewriter (mdql/rewrite.h) hoists the common prefixes back together,
-/// merges the sibling aggregates and annotates what the physical layer
-/// (mdql/physical.h) may prune. Nodes are mutable by the rewriter and
-/// live for one statement; Scan borrows the session's catalog MO.
+/// aggregate its own operator chain over one shared Scan, the rewriter
+/// (mdql/rewrite.h) hoists the common prefixes back together and merges
+/// the sibling aggregates, and the physical layer (mdql/physical.h)
+/// walks the result. Nodes are mutable by the rewriter only; a rewritten
+/// plan is immutable and is what the session's plan cache holds. Scan
+/// borrows the session's catalog MO; every other field is owned.
 enum class PlanKind { kScan, kTimeslice, kSelect, kAggregate, kMerge, kJoin };
 
 struct PlanNode;
@@ -36,17 +37,13 @@ struct PlanNode {
   /// kTimeslice: the ASOF literal ('NOW' or a date).
   std::string as_of;
 
-  /// kSelect: the WHERE tree, borrowed from the statement AST.
-  const WhereExpr* where = nullptr;
+  /// kSelect: the WHERE tree, shared with the statement AST so a cached
+  /// plan outlives the statement it was compiled from.
+  std::shared_ptr<const WhereExpr> where;
 
   /// kAggregate: the functions folded over one grouping.
   std::vector<AggRef> aggregates;
   std::vector<GroupRef> group_by;
-  /// Set by the prune-dead-dimensions rule: dimensions absent from
-  /// group_by may be dropped from the scan (they contribute one fixed
-  /// top coordinate). The fused stream only claims a plan whose dead
-  /// dimensions are licensed by this flag.
-  bool prune_dead = false;
 
   /// kJoin.
   JoinPredicate join_predicate = JoinPredicate::kEqual;
@@ -54,7 +51,7 @@ struct PlanNode {
 
 PlanRef MakeScan(Name mo_name, const MdObject* mo);
 PlanRef MakeTimeslice(PlanRef child, std::string as_of);
-PlanRef MakeSelect(PlanRef child, const WhereExpr* where);
+PlanRef MakeSelect(PlanRef child, std::shared_ptr<const WhereExpr> where);
 PlanRef MakeAggregate(PlanRef child, std::vector<AggRef> aggregates,
                       std::vector<GroupRef> group_by);
 PlanRef MakeMerge(std::vector<PlanRef> children);
@@ -68,6 +65,18 @@ PlanRef MakeJoin(PlanRef left, PlanRef right, JoinPredicate predicate);
 /// rules earning their keep on every multi-aggregate statement.
 PlanRef LowerSelect(Name mo_name, const MdObject* mo,
                     const SelectStatement& select);
+
+/// The scan MO below `node` through Select nodes, and through Timeslice
+/// nodes too when `through_timeslice`; null when another node intervenes.
+/// Rules whose soundness rests on hierarchy properties must not look
+/// through a timeslice: it can cut hierarchy edges, invalidating
+/// strictness/partitioning conclusions drawn from the scan MO.
+const MdObject* ScanMoBelow(const PlanNode& node, bool through_timeslice);
+
+/// True when two aggregates group by the same columns (level and
+/// representation, in order) — the rows they produce line up.
+bool SameGroupBy(const std::vector<GroupRef>& a,
+                 const std::vector<GroupRef>& b);
 
 /// The WHERE tree in MDQL surface syntax (for plan printing).
 std::string RenderWhere(const WhereExpr& expr);

@@ -14,69 +14,6 @@ namespace mddc {
 namespace mdql {
 namespace {
 
-/// The scan MO below `node` through intermediate nodes that preserve the
-/// scan's dimension structure (Select only — a timeslice can cut
-/// hierarchy edges, which would invalidate strictness/partitioning
-/// conclusions drawn from the scan MO).
-const MdObject* FindScanMoThroughSelects(const PlanRef& node) {
-  const PlanNode* cur = node.get();
-  while (cur != nullptr) {
-    if (cur->kind == PlanKind::kScan) return cur->mo;
-    if (cur->kind != PlanKind::kSelect || cur->children.size() != 1) {
-      return nullptr;
-    }
-    cur = cur->children[0].get();
-  }
-  return nullptr;
-}
-
-/// Like FindScanMoThroughSelects but timeslices are allowed: used by
-/// rules whose soundness does not rest on hierarchy properties (a
-/// top-grouped dimension is prunable in any MO).
-const MdObject* FindScanMoThroughSchemaPreserving(const PlanRef& node) {
-  const PlanNode* cur = node.get();
-  while (cur != nullptr) {
-    if (cur->kind == PlanKind::kScan) return cur->mo;
-    if ((cur->kind != PlanKind::kSelect &&
-         cur->kind != PlanKind::kTimeslice) ||
-        cur->children.size() != 1) {
-      return nullptr;
-    }
-    cur = cur->children[0].get();
-  }
-  return nullptr;
-}
-
-bool SameGroupBy(const std::vector<GroupRef>& a,
-                 const std::vector<GroupRef>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].level.dimension != b[i].level.dimension ||
-        a[i].level.category != b[i].level.category ||
-        a[i].representation != b[i].representation) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The grouping vector an Aggregate node induces on `mo` (tops, then one
-/// overwrite per group column). False when a name does not resolve.
-bool ResolveGrouping(const MdObject& mo, const std::vector<GroupRef>& group_by,
-                     std::vector<CategoryTypeIndex>* grouping) {
-  grouping->clear();
-  grouping->reserve(mo.dimension_count());
-  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    grouping->push_back(mo.dimension(i).type().top());
-  }
-  for (const GroupRef& group : group_by) {
-    auto level = Resolve(mo, group.level);
-    if (!level.ok()) return false;
-    (*grouping)[level->dim] = level->category;
-  }
-  return true;
-}
-
 AggregateFunctionKind KindOf(AggRef::Fn fn) {
   switch (fn) {
     case AggRef::Fn::kSetCount: return AggregateFunctionKind::kSetCount;
@@ -112,7 +49,7 @@ std::size_t CsePrefixChains(const PlanRef& root,
       }
       auto key = std::make_tuple(static_cast<int>(child->kind),
                                  child->children[0].get(), child->as_of,
-                                 child->where);
+                                 child->where.get());
       auto [it, inserted] = canon.try_emplace(key, child);
       if (!inserted && it->second.get() != child.get()) {
         child = it->second;
@@ -220,15 +157,16 @@ PlanRef SelectBelowAggregate(PlanRef root, std::vector<std::string>& fired) {
       return node;
     }
     const PlanRef& agg = node->children[0];
-    const MdObject* mo = FindScanMoThroughSelects(agg->children[0]);
+    const MdObject* mo =
+        ScanMoBelow(*agg->children[0], /*through_timeslice=*/false);
     if (mo == nullptr) return node;
-    std::vector<CategoryTypeIndex> grouping;
-    if (!ResolveGrouping(*mo, agg->group_by, &grouping)) return node;
+    auto grouping = ResolveGrouping(*mo, agg->group_by);
+    if (!grouping.ok()) return node;
     // Only the strict/partitioning flags matter here; the kind argument
     // feeds the distributivity flag, which this rule does not read.
     const SummarizabilityReport report =
-        CheckSummarizability(*mo, AggregateFunctionKind::kSum, grouping);
-    if (!PushableBelowAggregate(*node->where, *mo, grouping, report)) {
+        CheckSummarizability(*mo, AggregateFunctionKind::kSum, *grouping);
+    if (!PushableBelowAggregate(*node->where, *mo, *grouping, report)) {
       return node;
     }
     auto clone = std::make_shared<PlanNode>(*agg);
@@ -277,9 +215,10 @@ PlanRef SelectBelowJoin(PlanRef root, std::vector<std::string>& fired) {
     // Both inputs must expose their scan schema unchanged (select and
     // timeslice preserve it); the join's dimension names are disjoint by
     // the operator's contract, so an atom resolves on exactly one side.
-    const MdObject* left = FindScanMoThroughSchemaPreserving(join->children[0]);
+    const MdObject* left =
+        ScanMoBelow(*join->children[0], /*through_timeslice=*/true);
     const MdObject* right =
-        FindScanMoThroughSchemaPreserving(join->children[1]);
+        ScanMoBelow(*join->children[1], /*through_timeslice=*/true);
     if (left == nullptr || right == nullptr) return node;
     const int side = SideOf(*node->where, *left, *right);
     if (side == 0) return node;
@@ -321,7 +260,8 @@ PlanRef CollapseRollup(PlanRef root, std::vector<std::string>& fired) {
     // The outer function must consume the inner's auto result dimension.
     if (outer_agg.dimension != std::string_view("Result")) return node;
     if (!SafeRollupPair(outer_agg.fn, inner_agg.fn)) return node;
-    const MdObject* mo = FindScanMoThroughSelects(inner->children[0]);
+    const MdObject* mo =
+        ScanMoBelow(*inner->children[0], /*through_timeslice=*/false);
     if (mo == nullptr) return node;
     // Same grouping dimensions, each outer category at or above the
     // inner one in the scan MO's lattice.
@@ -340,9 +280,9 @@ PlanRef CollapseRollup(PlanRef root, std::vector<std::string>& fired) {
         return node;
       }
     }
-    std::vector<CategoryTypeIndex> grouping;
-    if (!ResolveGrouping(*mo, node->group_by, &grouping)) return node;
-    if (!CheckSummarizability(*mo, KindOf(inner_agg.fn), grouping)
+    auto grouping = ResolveGrouping(*mo, node->group_by);
+    if (!grouping.ok() ||
+        !CheckSummarizability(*mo, KindOf(inner_agg.fn), *grouping)
              .summarizable) {
       return node;
     }
@@ -351,34 +291,6 @@ PlanRef CollapseRollup(PlanRef root, std::vector<std::string>& fired) {
     fired.push_back("collapse-rollup");
     return MakeAggregate(inner->children[0], {collapsed}, node->group_by);
   });
-}
-
-// ---- prune-dead-dimensions -------------------------------------------------
-
-std::size_t PruneDeadDimensions(const PlanRef& root,
-                                std::vector<std::string>& fired) {
-  std::size_t count = 0;
-  std::set<const PlanNode*> visited;
-  std::function<void(const PlanRef&)> walk = [&](const PlanRef& node) {
-    if (!visited.insert(node.get()).second) return;
-    for (const PlanRef& child : node->children) walk(child);
-    if (node->kind != PlanKind::kAggregate || node->prune_dead) return;
-    const MdObject* mo = FindScanMoThroughSchemaPreserving(node->children[0]);
-    if (mo == nullptr) return;
-    std::set<std::size_t> dims;
-    for (const GroupRef& group : node->group_by) {
-      auto level = Resolve(*mo, group.level);
-      if (!level.ok()) return;  // execution will surface the bad name
-      dims.insert(level->dim);
-    }
-    if (dims.size() < mo->dimension_count()) {
-      node->prune_dead = true;
-      fired.push_back("prune-dead-dimensions");
-      ++count;
-    }
-  };
-  walk(root);
-  return count;
 }
 
 }  // namespace
@@ -390,7 +302,7 @@ RewriteOutcome Rewrite(PlanRef plan, const RewriteOptions& options,
   if (out.plan == nullptr) return out;
   const std::uint32_t mask = options.rule_mask;
   // The rules enable each other (hoisting makes siblings mergeable,
-  // merging exposes the fused shape pruning annotates), so run to a
+  // pushing a select down can expose a collapsible roll-up), so run to a
   // fixpoint; the cap only bounds pathological hand-built plans.
   for (int pass = 0; pass < 8; ++pass) {
     const std::size_t before = out.fired.size();
@@ -408,9 +320,6 @@ RewriteOutcome Rewrite(PlanRef plan, const RewriteOptions& options,
     }
     if ((mask & kRuleMergeSiblingAggregates) != 0) {
       MergeSiblings(out.plan, out.fired);
-    }
-    if ((mask & kRulePruneDeadDimensions) != 0) {
-      PruneDeadDimensions(out.plan, out.fired);
     }
     if (out.fired.size() == before) break;
   }

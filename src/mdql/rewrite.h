@@ -20,24 +20,22 @@ inline constexpr std::uint32_t kRuleMergeSiblingAggregates = 1u << 1;
 inline constexpr std::uint32_t kRuleSelectBelowAggregate = 1u << 2;
 inline constexpr std::uint32_t kRuleSelectBelowJoin = 1u << 3;
 inline constexpr std::uint32_t kRuleCollapseRollup = 1u << 4;
-inline constexpr std::uint32_t kRulePruneDeadDimensions = 1u << 5;
-inline constexpr std::uint32_t kAllRules = (1u << 6) - 1;
+inline constexpr std::uint32_t kAllRules = (1u << 5) - 1;
 
 struct RewriteOptions {
   std::uint32_t rule_mask = kAllRules;
 };
 
 /// Compiler configuration carried by a Session. The defaults are the
-/// production setting: compile every SELECT, run every rule, fuse when
-/// the optimized shape is covered. Turning `enable_compiler` off pins
-/// the session to the tree-walk interpreter (the stress oracle's replay
-/// side does this, making the oracle a live compiled-vs-interpreted
-/// differential); `enable_fusion` off keeps the rewrites but forces the
-/// tree-walk fallback, isolating the physical layer in benches.
+/// production setting: compile every SELECT, run every rule, and walk
+/// the rewritten plan. Turning `enable_compiler` off pins the session to
+/// the tree-walk interpreter (the stress oracle's replay side does this,
+/// making the oracle a live compiled-vs-interpreted differential);
+/// masking rules changes the plan that runs — an unmerged SELECT list
+/// runs one stream per aggregate.
 struct CompileOptions {
   bool enable_compiler = true;
   RewriteOptions rewrites;
-  bool enable_fusion = true;
 };
 
 /// The rewritten plan plus one entry per rule application, in firing

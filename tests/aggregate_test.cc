@@ -685,5 +685,64 @@ TEST(FoldAggregateAppendTest, UnfoldableRequestsReturnErrors) {
   EXPECT_FALSE(FoldAggregateAppend(mo, sum, sum_state, {f7, f8}).ok());
 }
 
+TEST(FoldAggregateAppendTest, EdgeUnderACapturedValueRefusesTheFold) {
+  // A hierarchy built by appends only: every value is past the append
+  // watermark, so a later edge under the captured leaf still classes as
+  // an append and leaves the structural version alone.
+  DimensionTypeBuilder builder("Code");
+  builder.AddCategory("Leaf", AggregationType::kConstant)
+      .AddCategory("Family", AggregationType::kConstant)
+      .AddOrder("Leaf", "Family");
+  Dimension dimension(std::move(builder.Build()).ValueOrDie());
+  const CategoryTypeIndex leaf = *dimension.type().Find("Leaf");
+  const CategoryTypeIndex family = *dimension.type().Find("Family");
+  ASSERT_TRUE(dimension.AddValue(leaf, ValueId(1)).ok());
+  ASSERT_TRUE(dimension.AddValue(family, ValueId(10)).ok());
+  ASSERT_TRUE(dimension.AddValue(family, ValueId(11)).ok());
+  ASSERT_TRUE(dimension.AddOrder(ValueId(1), ValueId(10)).ok());
+  auto registry = std::make_shared<FactRegistry>();
+  MdObject mo("Patient", {std::move(dimension)}, registry);
+  const FactId patient = registry->Atom(1);
+  ASSERT_TRUE(mo.AddFact(patient).ok());
+  ASSERT_TRUE(mo.Relate(0, patient, ValueId(1)).ok());
+
+  AggregateSpec spec{AggFunction::SetCount(), {family},
+                     ResultDimensionSpec::Auto(), kNowChronon, true};
+  AggregateFoldState state;
+  AggregateSpec capture = spec;
+  capture.capture = &state;
+  ASSERT_TRUE(AggregateFormation(mo, capture).ok());
+  ASSERT_TRUE(state.valid);
+
+  Dimension& codes = mo.dimension_mutable(0);
+  const std::uint64_t structural = codes.structural_version();
+  ASSERT_TRUE(codes.AddOrder(ValueId(1), ValueId(11)).ok());
+  ASSERT_EQ(codes.structural_version(), structural);
+
+  // The old fact now also joins family 11. A fold that cannot see it
+  // must refuse, and the caller's rescan gives the formation's bytes.
+  const std::string scratch = Bytes(AggregateFormation(mo, spec));
+  Result<MdObject> folded = FoldAggregateAppend(mo, spec, state, {});
+  EXPECT_FALSE(folded.ok());
+  EXPECT_EQ(Bytes(folded.ok() ? std::move(folded)
+                              : AggregateFormation(mo, spec)),
+            scratch);
+
+  // A leaf added after the capture may gain its edges in the same
+  // batch that appends its fact: the old facts keep their coordinates,
+  // so that still folds.
+  AggregateFoldState fresh_state;
+  capture.capture = &fresh_state;
+  ASSERT_TRUE(AggregateFormation(mo, capture).ok());
+  const ValueId fresh = *codes.AddValueAuto(leaf);
+  ASSERT_TRUE(codes.AddOrder(fresh, ValueId(11)).ok());
+  ASSERT_EQ(codes.structural_version(), structural);
+  const FactId newcomer = registry->Atom(2);
+  ASSERT_TRUE(mo.AddFact(newcomer).ok());
+  ASSERT_TRUE(mo.Relate(0, newcomer, fresh).ok());
+  EXPECT_EQ(Bytes(FoldAggregateAppend(mo, spec, fresh_state, {newcomer})),
+            Bytes(AggregateFormation(mo, spec)));
+}
+
 }  // namespace
 }  // namespace mddc

@@ -38,7 +38,7 @@ std::string RandomQueryFromFragments(std::mt19937& rng) {
       "INSERT",      "INTO",       "FACT",        "99",
       "PROB",        "0.8",        "1.5",         "'NOW'",
       "Name.Name = 'Jane Doe' PROB 0.7",
-      // EXPLAIN drives the whole compiler (lower, rewrite, shape check,
+      // EXPLAIN drives the whole compiler (lower, rewrite, branch walk,
       // stream probe) without executing, so fragment storms now exercise
       // the plan layer on every statement class too.
       "EXPLAIN",     "EXPLAIN SELECT COUNT FROM patients",

@@ -19,9 +19,10 @@
 #include "workload/retail_generator.h"
 
 // The MDQL compiler (docs/mdql_compiler.md): every logical rewrite rule
-// individually and composed, and the load-bearing contract — the
-// optimized (fused) physical plan renders byte-identically to the
-// tree-walk interpreter, on every statement, at every thread count.
+// individually and composed, and the load-bearing contract — the walk
+// over the optimized plan renders byte-identically to the tree-walk
+// interpreter, on every statement, under every rule mask, at every
+// thread count.
 
 namespace mddc {
 namespace mdql {
@@ -186,7 +187,7 @@ TEST(RewriteRuleTest, SelectBelowAggregateDifferential) {
     PlanRef scan = MakeScan(select.mo_name, &clinical.mo);
     PlanRef agg =
         MakeAggregate(scan, select.aggregates, select.group_by);
-    return MakeSelect(agg, select.where.get());
+    return MakeSelect(agg, select.where);
   };
 
   RewriteOptions options;
@@ -197,17 +198,17 @@ TEST(RewriteRuleTest, SelectBelowAggregateDifferential) {
   EXPECT_EQ(outcome.plan->kind, PlanKind::kAggregate);
   EXPECT_EQ(outcome.plan->children[0]->kind, PlanKind::kSelect);
 
-  auto original = ExecutePlanMaterialized(build());
+  auto original = MaterializePlan(build());
   ASSERT_TRUE(original.ok()) << original.status();
-  auto rewritten = ExecutePlanMaterialized(outcome.plan);
+  auto rewritten = MaterializePlan(outcome.plan);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   // sigma restricts facts, not dimension values, so the original keeps
   // orphaned auto-result values for the filtered-out groups; compare the
   // rendered rows, which is what any consumer of either MO observes.
   std::vector<std::string> original_rows =
-      RenderedValues(*original, "Residence", "County");
+      RenderedValues(**original, "Residence", "County");
   EXPECT_FALSE(original_rows.empty());
-  EXPECT_EQ(original_rows, RenderedValues(*rewritten, "Residence", "County"));
+  EXPECT_EQ(original_rows, RenderedValues(**rewritten, "Residence", "County"));
 
   // The non-strict Diagnosis hierarchy fails the gate: pushing a family
   // predicate below the aggregate would drop facts that reach the named
@@ -219,7 +220,7 @@ TEST(RewriteRuleTest, SelectBelowAggregateDifferential) {
   const SelectStatement& ns = *non_strict->select;
   PlanRef scan = MakeScan(ns.mo_name, &clinical.mo);
   PlanRef agg = MakeAggregate(scan, ns.aggregates, ns.group_by);
-  RewriteOutcome refused = Rewrite(MakeSelect(agg, ns.where.get()), options);
+  RewriteOutcome refused = Rewrite(MakeSelect(agg, ns.where), options);
   EXPECT_FALSE(Fired(refused, "select-below-aggregate"));
 }
 
@@ -239,7 +240,7 @@ TEST(RewriteRuleTest, SelectBelowJoinDifferential) {
     PlanRef left = MakeScan(Name::Of("clinical"), &clinical.mo);
     PlanRef right = MakeScan(Name::Of("retail"), &retail.mo);
     PlanRef join = MakeJoin(left, right, JoinPredicate::kTrue);
-    return MakeSelect(join, select.where.get());
+    return MakeSelect(join, select.where);
   };
 
   RewriteOptions options;
@@ -250,12 +251,12 @@ TEST(RewriteRuleTest, SelectBelowJoinDifferential) {
   EXPECT_EQ(outcome.plan->children[0]->kind, PlanKind::kSelect);
   EXPECT_EQ(outcome.plan->children[1]->kind, PlanKind::kScan);
 
-  auto original = ExecutePlanMaterialized(build());
+  auto original = MaterializePlan(build());
   ASSERT_TRUE(original.ok()) << original.status();
-  auto rewritten = ExecutePlanMaterialized(outcome.plan);
+  auto rewritten = MaterializePlan(outcome.plan);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
-  auto original_text = io::WriteMo(*original);
-  auto rewritten_text = io::WriteMo(*rewritten);
+  auto original_text = io::WriteMo(**original);
+  auto rewritten_text = io::WriteMo(**rewritten);
   ASSERT_TRUE(original_text.ok() && rewritten_text.ok());
   EXPECT_EQ(*original_text, *rewritten_text);
 }
@@ -290,31 +291,14 @@ TEST(RewriteRuleTest, CollapseRollupDifferential) {
   // The collapsed aggregate renders under the outer statement's label.
   EXPECT_EQ(outcome.plan->aggregates[0].label, outer.aggregates[0].label);
 
-  auto original = ExecutePlanMaterialized(build());
+  auto original = MaterializePlan(build());
   ASSERT_TRUE(original.ok()) << original.status();
-  auto rewritten = ExecutePlanMaterialized(outcome.plan);
+  auto rewritten = MaterializePlan(outcome.plan);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   // MO shapes differ (the two-level plan nests a second result
   // dimension), so compare at the rendered-value level.
-  EXPECT_EQ(RenderedValues(*original, "Residence", "Region"),
-            RenderedValues(*rewritten, "Residence", "Region"));
-}
-
-TEST(RewriteRuleTest, PruneDeadDimensionsAnnotates) {
-  ClinicalMo clinical = BuildClinical(200);
-  // Groups only Diagnosis; Residence is dead.
-  auto statement = Parse(
-      "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\"");
-  ASSERT_TRUE(statement.ok()) << statement.status();
-  PlanRef plan =
-      LowerSelect(statement->select->mo_name, &clinical.mo,
-                  *statement->select);
-  RewriteOptions options;
-  options.rule_mask = kRulePruneDeadDimensions;
-  RewriteOutcome outcome = Rewrite(plan, options);
-  EXPECT_TRUE(Fired(outcome, "prune-dead-dimensions"));
-  ASSERT_EQ(outcome.plan->children.size(), 1u);
-  EXPECT_TRUE(outcome.plan->children[0]->prune_dead);
+  EXPECT_EQ(RenderedValues(**original, "Residence", "Region"),
+            RenderedValues(**rewritten, "Residence", "Region"));
 }
 
 TEST(RewriteRuleTest, ComposedRulesReachTheFusedShape) {
@@ -330,13 +314,11 @@ TEST(RewriteRuleTest, ComposedRulesReachTheFusedShape) {
   RewriteOutcome outcome = Rewrite(plan, RewriteOptions{});
   EXPECT_TRUE(Fired(outcome, "hoist-timeslice"));
   EXPECT_TRUE(Fired(outcome, "merge-sibling-aggregates"));
-  EXPECT_TRUE(Fired(outcome, "prune-dead-dimensions"));
   // Merge -> one Aggregate -> Select -> Timeslice -> Scan.
   ASSERT_EQ(outcome.plan->children.size(), 1u);
   const PlanNode& agg = *outcome.plan->children[0];
   EXPECT_EQ(agg.kind, PlanKind::kAggregate);
   EXPECT_EQ(agg.aggregates.size(), 2u);
-  EXPECT_TRUE(agg.prune_dead);
   EXPECT_EQ(agg.children[0]->kind, PlanKind::kSelect);
   EXPECT_EQ(agg.children[0]->children[0]->kind, PlanKind::kTimeslice);
   EXPECT_EQ(agg.children[0]->children[0]->children[0]->kind,
@@ -346,7 +328,8 @@ TEST(RewriteRuleTest, ComposedRulesReachTheFusedShape) {
 // ---- Optimized vs tree-walk, byte for byte ----------------------------
 
 /// The differential workload: every statement class the compiler
-/// handles, including the shapes that force a fallback.
+/// handles, including the group-by shapes only the plan walk renders
+/// (a column at TOP, two columns on one dimension).
 const char* kStatements[] = {
     "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\"",
     "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Family\" "
@@ -365,6 +348,14 @@ const char* kStatements[] = {
     "SELECT COUNT FROM clinical",
     "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\" "
     "WHERE Diagnosis.\"Diagnosis Family\" = 'F0' OR Residence.Region = 'R0'",
+    // A grouping column at TOP renders the dimension's top value.
+    "SELECT COUNT, COUNT(Diagnosis) FROM clinical "
+    "BY Residence.TOP, Diagnosis.\"Diagnosis Group\"",
+    // Two columns on one dimension: the last level groups, both columns
+    // label the group's value through their own representation.
+    "SELECT COUNT FROM clinical "
+    "BY Diagnosis.\"Diagnosis Family\" AS Code, Diagnosis.\"Diagnosis Group\" "
+    "WHERE Residence.Region = 'R1'",
 };
 
 TEST(CompiledDifferentialTest, ByteIdentityAcrossThreadCounts) {
@@ -424,8 +415,12 @@ TEST(CompiledDifferentialTest, FusedPipelinesActuallyRun) {
   Session session;
   ASSERT_TRUE(session.Register("clinical", std::move(clinical.mo)).ok());
   ExecContext exec(2, 512);
+  // Two aggregates: lowering gives each its own branch, and the rewrites
+  // must merge them for the walk to run one scan.
   auto result = session.Execute(
-      "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\"", &exec);
+      "SELECT COUNT, COUNT(Diagnosis) FROM clinical "
+      "BY Diagnosis.\"Diagnosis Group\"",
+      &exec);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(exec.stats.fused_pipelines, 0u);
   EXPECT_GT(exec.stats.rewrites_applied, 0u);
@@ -445,36 +440,38 @@ TEST(CompiledDifferentialTest, RuleAblationFallsBackAndStaysIdentical) {
   auto expected = interpreted.Execute(statement);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  // Without hoist+merge the lowered per-aggregate branches never fuse
-  // back together; without prune the dead Residence dimension blocks the
-  // fused claim. Every ablation must fall back — and render identically.
+  // Without hoist+merge the lowered per-aggregate branches never merge
+  // back together, so the walk runs one stream per aggregate: more than
+  // one scan counts as a fallback. Every ablation must render
+  // identically, at every thread count.
   for (std::uint32_t mask :
        {kAllRules & ~(kRuleHoistTimeslice | kRuleMergeSiblingAggregates),
-        kAllRules & ~kRulePruneDeadDimensions, std::uint32_t{0}}) {
+        std::uint32_t{0}}) {
     Session ablated;
     CompileOptions options;
     options.rewrites.rule_mask = mask;
     ablated.set_compile_options(options);
     ASSERT_TRUE(ablated.Register("clinical", clinical.mo).ok());
-    ExecContext exec(1, 4096);
-    auto result = ablated.Execute(statement, &exec);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->ToString(), expected->ToString()) << "mask " << mask;
-    EXPECT_GT(exec.stats.plan_fallbacks, 0u) << "mask " << mask;
-    EXPECT_EQ(exec.stats.fused_pipelines, 0u) << "mask " << mask;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      ExecContext exec(threads, /*min_facts=*/512);
+      auto result = ablated.Execute(statement, &exec);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->ToString(), expected->ToString())
+          << "mask " << mask << " at " << threads << " threads";
+      EXPECT_GT(exec.stats.plan_fallbacks, 0u) << "mask " << mask;
+      EXPECT_EQ(exec.stats.fused_pipelines, 0u) << "mask " << mask;
+    }
   }
 
-  // Fusion disabled: rewrites still run, execution falls back.
-  Session unfused;
-  CompileOptions options;
-  options.enable_fusion = false;
-  unfused.set_compile_options(options);
-  ASSERT_TRUE(unfused.Register("clinical", std::move(clinical.mo)).ok());
+  // Every rule on: the siblings merge into one stream — one scan.
+  Session merged;
+  ASSERT_TRUE(merged.Register("clinical", std::move(clinical.mo)).ok());
   ExecContext exec(1, 4096);
-  auto result = unfused.Execute(statement, &exec);
+  auto result = merged.Execute(statement, &exec);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->ToString(), expected->ToString());
-  EXPECT_GT(exec.stats.plan_fallbacks, 0u);
+  EXPECT_EQ(exec.stats.fused_pipelines, 1u);
+  EXPECT_EQ(exec.stats.plan_fallbacks, 0u);
   EXPECT_GT(exec.stats.rewrites_applied, 0u);
 }
 
@@ -565,9 +562,52 @@ TEST(ExplainTest, FallbackShapeSaysWhy) {
       "EXPLAIN SELECT COUNT, COUNT(Diagnosis) FROM clinical "
       "BY Diagnosis.\"Diagnosis Group\"");
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_NE(result->ToString().find("tree-walk fallback"),
+  const std::string text = result->ToString();
+  // One stream per unmerged branch, each with its own engine probe.
+  EXPECT_NE(text.find("plan walk: 2 stream(s), one per merge branch"),
             std::string::npos)
-      << result->ToString();
+      << text;
+  EXPECT_NE(text.find("branch 1/2: scan clinical -> stream group-by"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("branch 2/2: scan clinical -> stream group-by"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("stream: 1 function(s), 1 live dim(s)"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("fused pipeline"), std::string::npos) << text;
+}
+
+// ---- Plan cache --------------------------------------------------------
+
+TEST(PlanCacheTest, CachedPlanOutlivesItsStatement) {
+  ClinicalMo clinical = BuildClinical(500);
+  Session session;
+  ASSERT_TRUE(session.Register("clinical", std::move(clinical.mo)).ok());
+  const std::string text =
+      "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Family\" "
+      "WHERE Diagnosis.\"Diagnosis Group\" = 'G1' OR "
+      "NOT Residence.Region = 'R0'";
+  std::string first;
+  {
+    auto statement = std::make_unique<Statement>();
+    auto parsed = Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    *statement = std::move(parsed).ValueOrDie();
+    ExecContext exec(1, 4096);
+    auto result = session.Execute(*statement, &exec);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(exec.stats.plan_cache_hits, 0u);
+    first = result->ToString();
+    // The statement (and the AST's WHERE tree with it) dies here; the
+    // cached plan must own what it reads.
+  }
+  ExecContext exec(1, 4096);
+  auto again = session.Execute(text, &exec);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(exec.stats.plan_cache_hits, 1u);
+  EXPECT_EQ(again->ToString(), first);
 }
 
 }  // namespace
