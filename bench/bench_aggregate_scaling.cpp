@@ -2,7 +2,10 @@
 // grouping level and hierarchy fan-out on the synthetic clinical
 // workload. Regenerates the shape expected of the model's central
 // operator: cost grows with facts and with the depth of rollup work, and
-// grouping at TOP degenerates to a single group.
+// grouping at TOP degenerates to a single group. The BM_AggregateBy*
+// and BM_AggregateTwoDimensions rows time ReferenceAggregateFormation,
+// so they keep measuring the ordered-map engine; the thread sweep times
+// the group-by core against it.
 //
 //   $ ./bench/bench_aggregate_scaling
 
@@ -47,7 +50,7 @@ void BM_AggregateByPatients(benchmark::State& state) {
       BuildWorkload(static_cast<std::size_t>(state.range(0)), 5, 10);
   AggregateSpec spec = SpecFor(workload, workload.group);
   for (auto _ : state) {
-    auto result = AggregateFormation(workload.mo, spec);
+    auto result = ReferenceAggregateFormation(workload.mo, spec);
     benchmark::DoNotOptimize(result);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
   }
@@ -74,7 +77,7 @@ void BM_AggregateByLevel(benchmark::State& state) {
   }
   AggregateSpec spec = SpecFor(workload, level);
   for (auto _ : state) {
-    auto result = AggregateFormation(workload.mo, spec);
+    auto result = ReferenceAggregateFormation(workload.mo, spec);
     benchmark::DoNotOptimize(result);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
   }
@@ -91,7 +94,7 @@ void BM_AggregateByFanout(benchmark::State& state) {
   ClinicalMo workload = BuildWorkload(400, fanout, fanout);
   AggregateSpec spec = SpecFor(workload, workload.group);
   for (auto _ : state) {
-    auto result = AggregateFormation(workload.mo, spec);
+    auto result = ReferenceAggregateFormation(workload.mo, spec);
     benchmark::DoNotOptimize(result);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
   }
@@ -105,7 +108,7 @@ void BM_AggregateTwoDimensions(benchmark::State& state) {
   AggregateSpec spec = SpecFor(workload, workload.group);
   spec.grouping[workload.residence_dim] = workload.county;
   for (auto _ : state) {
-    auto result = AggregateFormation(workload.mo, spec);
+    auto result = ReferenceAggregateFormation(workload.mo, spec);
     benchmark::DoNotOptimize(result);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
   }
@@ -136,7 +139,7 @@ void BM_AggregateParallelThreads(benchmark::State& state) {
 
   {
     // Bit-identity check, once per configuration.
-    auto sequential = AggregateFormation(retail.mo, spec);
+    auto sequential = ReferenceAggregateFormation(retail.mo, spec);
     ExecContext check_ctx(threads, /*min_facts=*/1);
     auto parallel = AggregateFormation(retail.mo, spec, &check_ctx);
     if (!sequential.ok() || !parallel.ok() ||

@@ -2,10 +2,13 @@
 // implementation using special-purpose algorithms and data structures":
 // aggregate formation with
 //
-//   raw   — containment recomputed per query (memoization disabled),
-//   memo  — the dimension's memoized reachability closure, and
-//   index — the compiled rollup snapshot (engine/rollup_index.h), which
-//           falls back to the memo when the strictness gate fails;
+//   raw   — the reference evaluator (ReferenceAggregateFormation) with
+//           containment recomputed per query (memoization disabled),
+//   memo  — the reference evaluator over the dimension's memoized
+//           reachability closure, and
+//   index — the group-by core over the compiled rollup snapshot
+//           (engine/rollup_index.h), whose ancestor runs take over when
+//           the strictness gate fails;
 //
 // over a strict workload (retail: the flat table engages) and a
 // non-strict temporal one (clinical: the gate fails, proving fallback
@@ -134,7 +137,7 @@ int main() {
   for (Case& c : BuildCases()) {
     // Ground truth once per workload: the memoized sequential engine.
     ConfigureMemo(c.mo, true);
-    auto reference = AggregateFormation(c.mo, c.spec);
+    auto reference = ReferenceAggregateFormation(c.mo, c.spec);
     if (!reference.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
                    reference.status().ToString().c_str());
@@ -151,12 +154,17 @@ int main() {
       row.workload = c.workload;
       row.mode = mode;
       ExecContext ctx(1, /*min_facts=*/1);
-      ExecContext* exec = mode == "index" ? &ctx : nullptr;
+      // raw and memo time the reference evaluator, whose coordinates
+      // walk the closures; index times the group-by core.
+      const auto run = [&] {
+        return mode == "index" ? AggregateFormation(c.mo, c.spec, &ctx)
+                               : ReferenceAggregateFormation(c.mo, c.spec);
+      };
       ConfigureMemo(c.mo, mode != "raw");
 
       // Bit-identity, once per mode, before any timing.
       {
-        auto result = AggregateFormation(c.mo, c.spec, exec);
+        auto result = run();
         row.bit_identical =
             result.ok() && std::move(io::WriteMo(*result)).ValueOrDie() ==
                                reference_bytes;
@@ -172,7 +180,7 @@ int main() {
         // Raw must not profit from warmth left by a previous iteration.
         if (mode == "raw") ConfigureMemo(c.mo, false);
         auto start = std::chrono::steady_clock::now();
-        auto result = AggregateFormation(c.mo, c.spec, exec);
+        auto result = run();
         auto stop = std::chrono::steady_clock::now();
         if (!result.ok()) {
           std::fprintf(stderr, "aggregate failed: %s\n",

@@ -113,7 +113,8 @@ double TimeAggregateMs(const MdObject& mo, const AggregateSpec& spec,
       if (force_flat) ctx->max_dense_groupby_slots = 0;
     }
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, ctx.get());
+    auto result = ctx == nullptr ? ReferenceAggregateFormation(mo, spec)
+                                 : AggregateFormation(mo, spec, ctx.get());
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -180,7 +181,7 @@ int main() {
       // Bit-identity, once per configuration, before any timing: the
       // ordered-map baseline against the dense kernel (1 and 8 threads)
       // and the forced flat-hash kernel.
-      auto baseline = AggregateFormation(workload.mo, spec);
+      auto baseline = ReferenceAggregateFormation(workload.mo, spec);
       if (!baseline.ok()) {
         std::fprintf(stderr, "baseline aggregate failed: %s\n",
                      baseline.status().ToString().c_str());

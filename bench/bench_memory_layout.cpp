@@ -138,7 +138,8 @@ TimedRun TimeAggregate(const MdObject& mo, const AggregateSpec& spec,
     const std::size_t allocs_before =
         g_alloc_count.load(std::memory_order_relaxed);
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, exec);
+    auto result = exec == nullptr ? ReferenceAggregateFormation(mo, spec)
+                                  : AggregateFormation(mo, spec, exec);
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -209,7 +210,7 @@ int main() {
 
     // Bit-identity before any timing: the flat layout must reproduce the
     // ordered-map baseline byte for byte at 1 and 8 threads.
-    auto baseline = AggregateFormation(workload.mo, spec);
+    auto baseline = ReferenceAggregateFormation(workload.mo, spec);
     if (!baseline.ok()) {
       std::fprintf(stderr, "baseline aggregate failed: %s\n",
                    baseline.status().ToString().c_str());

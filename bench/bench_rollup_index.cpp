@@ -105,7 +105,8 @@ double TimeAggregateMs(const MdObject& mo, const AggregateSpec& spec,
   double best = 1e300;
   for (int i = 0; i < iterations; ++i) {
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, exec);
+    auto result = exec == nullptr ? ReferenceAggregateFormation(mo, spec)
+                                  : AggregateFormation(mo, spec, exec);
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -181,7 +182,7 @@ int main() {
         row.depth = depth;
         row.facts = facts;
 
-        auto memoized = AggregateFormation(mo, spec);
+        auto memoized = ReferenceAggregateFormation(mo, spec);
         if (!memoized.ok()) {
           std::fprintf(stderr, "memoized aggregate failed: %s\n",
                        memoized.status().ToString().c_str());

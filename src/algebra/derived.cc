@@ -229,7 +229,12 @@ Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
     spec.grouping[column.dim] = column.category;
   }
   MDDC_ASSIGN_OR_RETURN(MdObject aggregated, AggregateFormation(mo, spec, exec));
+  return SqlRowsOf(aggregated, group_by, at);
+}
 
+Result<std::vector<SqlRow>> SqlRowsOf(const MdObject& aggregated,
+                                      const std::vector<SqlGroupBy>& group_by,
+                                      Chronon at) {
   const std::size_t result_dim = aggregated.dimension_count() - 1;
   std::vector<SqlRow> rows;
   for (FactId group : aggregated.facts()) {

@@ -85,15 +85,22 @@ std::string GroupLabel(const Dimension& dimension, ValueId value,
                        const std::string& representation, Chronon at);
 
 /// SQL-like aggregation ("SELECT r(e_1), g(..) .. GROUP BY C_1, .."):
-/// aggregate formation followed by reading the grouping values'
-/// representations. Rows are sorted by their group labels. Dimensions not
-/// listed group at top. `exec` (optional) is handed to the underlying
-/// aggregate formation so MDQL queries reach the parallel engine.
+/// aggregate formation — each listed column's dimension grouped at its
+/// category, every other dimension at top — followed by SqlRowsOf.
+/// `exec` (optional) is handed to the underlying aggregate formation so
+/// callers reach the parallel engine.
 Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
                                          const std::vector<SqlGroupBy>& group_by,
                                          const AggFunction& function,
                                          Chronon at = kNowChronon,
                                          ExecContext* exec = nullptr);
+
+/// SqlAggregate's rows, read from `aggregated` (the formation result): the
+/// grouping values' representations and the aggregate, sorted by group
+/// labels.
+Result<std::vector<SqlRow>> SqlRowsOf(const MdObject& aggregated,
+                                      const std::vector<SqlGroupBy>& group_by,
+                                      Chronon at);
 
 }  // namespace mddc
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 
+#include "algebra/aggregate_assembly.h"
 #include "common/strings.h"
 #include "core/properties.h"
 #include "engine/arena.h"
@@ -41,10 +42,8 @@ std::size_t HashUint64(std::uint64_t raw) {
   return static_cast<std::size_t>(h);
 }
 
-/// Query-lifetime scratch container (docs/memory_layout.md): with a null
-/// arena this is exactly std::vector, so the context-free baseline and
-/// the arena-backed execution path share one code path — byte-identity
-/// by construction, not by parallel maintenance.
+/// Query-lifetime scratch container bumping one of the context's arenas
+/// (docs/memory_layout.md).
 template <typename T>
 using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 
@@ -53,9 +52,7 @@ using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 /// keeps repeated queries on one context at a flat memory footprint.
 struct ArenaResetGuard {
   ExecContext* exec;
-  ~ArenaResetGuard() {
-    if (exec != nullptr) exec->ResetQueryArenas();
-  }
+  ~ArenaResetGuard() { exec->ResetQueryArenas(); }
 };
 
 }  // namespace
@@ -253,6 +250,7 @@ Result<MdObject> Difference(const MdObject& m1, const MdObject& m2) {
 
 Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
                       JoinPredicate predicate, ExecContext* exec) {
+  DefaultContext scope(exec);
   MDDC_RETURN_NOT_OK(RequireSharedRegistry(m1, m2, "join"));
   // Dimension names must be disjoint; the paper prescribes rename for
   // self-joins.
@@ -279,23 +277,13 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
   const std::vector<FactId>& facts1 = m1.facts();  // sorted by id
   const std::vector<FactId>& facts2 = m2.facts();  // sorted by id
 
-  bool parallel = false;
-  if (exec != nullptr && exec->num_threads > 1) {
-    if (exec->WantsParallel(facts1.size())) {
-      parallel = true;
-    } else {
-      // The caller asked for parallelism but the input is too small for
-      // partitioning to pay off.
-      ++exec->stats.sequential_fallbacks;
-    }
-  }
+  const bool parallel = exec->WantsParallelOrFallsBack(facts1.size());
 
   // 1. Match lists, one disjoint slot per m1 fact, each in ascending m2
   //    scan order. The equi-join probes m2's sorted fact set instead of
   //    scanning it — identical matches, n1 log n2 instead of n1 * n2.
   //    Lists live in the context's bump arenas (each list in the arena of
-  //    the partition that fills it, so workers never share an arena);
-  //    without a context they fall back to the heap unchanged.
+  //    the partition that fills it, so workers never share an arena).
   ArenaResetGuard arena_guard{exec};
   const std::size_t num_partitions = parallel ? exec->num_threads : 1;
   if (parallel) exec->EnsureWorkerArenas(num_partitions);
@@ -305,7 +293,7 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
     Arena* arena =
         parallel
             ? &exec->worker_arena(HashUint64(facts1[f].raw()) % num_partitions)
-            : (exec != nullptr ? &exec->arena : nullptr);
+            : &exec->arena;
     matches.emplace_back(ArenaAllocator<FactId>(arena));
   }
   auto match_one = [&](std::size_t f) {
@@ -345,16 +333,15 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
       (void)RollupIndex::For(m2.dimension(j), &exec->stats);
       ++exec->stats.index_hits;
     }
-    exec->pool().ParallelFor(num_partitions, [&](std::size_t p) {
-      for (std::size_t f = 0; f < facts1.size(); ++f) {
-        if (HashUint64(facts1[f].raw()) % num_partitions == p) match_one(f);
-      }
-    });
-    exec->stats.tasks += num_partitions;
     exec->stats.partitions += num_partitions;
-  } else {
-    for (std::size_t f = 0; f < facts1.size(); ++f) match_one(f);
   }
+  exec->RunTasks(parallel, num_partitions, [&](std::size_t p) {
+    for (std::size_t f = 0; f < facts1.size(); ++f) {
+      if (!parallel || HashUint64(facts1[f].raw()) % num_partitions == p) {
+        match_one(f);
+      }
+    }
+  });
 
   // 2. Merge in fact order: walking m1's facts ascending and each match
   //    list in m2 scan order reproduces exactly the sequential
@@ -397,20 +384,13 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
     }
     return Status::OK();
   };
+  std::vector<Status> statuses(n_out);
+  exec->RunTasks(parallel, n_out,
+                 [&](std::size_t d) { statuses[d] = populate_dim(d); });
+  for (const Status& status : statuses) MDDC_RETURN_NOT_OK(status);
   if (parallel) {
-    std::vector<Status> statuses(n_out);
-    exec->pool().ParallelFor(n_out,
-                             [&](std::size_t d) { statuses[d] = populate_dim(d); });
-    exec->stats.tasks += n_out;
-    for (const Status& status : statuses) {
-      MDDC_RETURN_NOT_OK(status);
-    }
     ++exec->stats.parallel_runs;
     ++exec->stats.join_parallel_runs;
-  } else {
-    for (std::size_t d = 0; d < n_out; ++d) {
-      MDDC_RETURN_NOT_OK(populate_dim(d));
-    }
   }
   MDDC_RETURN_NOT_OK(result.Validate());
   return result;
@@ -473,45 +453,24 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
 }
 
 /// Per-dimension entry spans aligned to the MO's sorted fact vector:
-/// `[i][f]` is relation i's entry-index run for facts[f] (empty when the
-/// fact has no pairs there). Built once per run by sweeping each
-/// relation's CSR by-fact view (FactDimRelation::FactSpans) in lockstep
-/// with the fact list — a pointer sweep over two sorted flat arrays, no
-/// per-fact lookups at all.
+/// `[i][f]` is relation i's entry-index run for facts[f], built for the
+/// `wanted` dimensions by one lockstep sweep of each relation's CSR view
+/// (FactDimRelation::EntrySpansFor) — no per-fact lookups in the hot loops
+/// of the group-by core.
 using EntrySpan = FactDimRelation::EntrySpan;
 using FactEntryLists = std::vector<std::vector<EntrySpan>>;
 
-/// Builds the per-fact entry lists for the `wanted` dimensions: one
-/// lockstep walk of each relation's by-fact tree against the MO's sorted
-/// fact vector replaces one tree lookup per (fact, dimension) in the hot
-/// loops of the group-by core.
 FactEntryLists BuildFactEntryLists(const MdObject& mo,
                                    const std::vector<bool>& wanted) {
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
   FactEntryLists fact_entries(mo.dimension_count());
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    if (!wanted[i]) continue;
-    fact_entries[i].assign(facts.size(), EntrySpan{});
-    const FactDimRelation& relation = mo.relation(i);
-    const std::vector<FactDimRelation::FactSpan>& spans =
-        relation.FactSpans();
-    const std::size_t* base = relation.SpanEntryIndexes().data();
-    std::size_t f = 0;
-    for (const FactDimRelation::FactSpan& span : spans) {
-      while (f < facts.size() && facts[f] < span.fact) ++f;
-      if (f == facts.size()) break;
-      if (facts[f] == span.fact) {
-        fact_entries[i][f] =
-            EntrySpan{base + span.begin, span.end - span.begin};
-      }
-    }
+    if (wanted[i]) fact_entries[i] = mo.relation(i).EntrySpansFor(mo.facts());
   }
   return fact_entries;
 }
 
-/// A fact's per-dimension coordinate lists, arena-backed on the
-/// execution path (a query's dominant allocation source is exactly these
-/// little per-fact vectors) and plain heap vectors for the baseline.
+/// A fact's per-axis coordinate lists, arena-backed (a query's dominant
+/// allocation source is exactly these little per-fact vectors).
 using CoordList = ArenaVec<Coordinate>;
 using CoordLists = ArenaVec<CoordList>;
 
@@ -529,7 +488,8 @@ using CoordLists = ArenaVec<CoordList>;
 /// MdObject::CharacterizedBy applies — the order it meets them in too —
 /// into a list kept sorted by ValueId (a linear insertion; coordinate
 /// lists are tiny) like the filtered characterization list, so every path
-/// is bit-identical to the context-free reference in GroupingCoordinates.
+/// is bit-identical to the reference evaluator's coordinates
+/// (reference_aggregate.cc).
 void AppendDimCoordinates(const FactDimRelation& relation,
                           const RollupIndex& index, CategoryTypeIndex category,
                           const EntrySpan& entries,
@@ -571,163 +531,12 @@ void AppendDimCoordinates(const FactDimRelation& relation,
   }
 }
 
-/// The fact's coordinates in every grouping category — top-grouped
-/// dimensions included, as the one top coordinate — or nullopt when some
-/// dimension has none (the fact then joins no group): the input of the
-/// ordered-map baseline and of FoldAggregateAppend's delta scan.
-/// `indexes` (empty, or one slot per dimension) carries compiled rollup
-/// snapshots for AppendDimCoordinates; a dimension without one takes the
-/// context-free reference, MdObject::CharacterizedBy filtered by category.
-std::optional<CoordLists> GroupingCoordinates(
-    const MdObject& mo, const AggregateSpec& spec, FactId fact,
-    const std::vector<std::shared_ptr<const RollupIndex>>& indexes,
-    Arena* arena) {
-  const std::size_t n = mo.dimension_count();
-  CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
-  per_dim.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Dimension& dimension = mo.dimension(i);
-    if (spec.grouping[i] == dimension.type().top()) {
-      per_dim[i].push_back(
-          Coordinate{dimension.top_value(), std::nullopt, 1.0});
-      continue;
-    }
-    const FactDimRelation& relation = mo.relation(i);
-    if (i < indexes.size() && indexes[i] != nullptr) {
-      AppendDimCoordinates(relation, *indexes[i], spec.grouping[i],
-                           EntrySpan::Of(relation.EntryIndexesForFact(fact)),
-                           per_dim[i]);
-    } else {
-      for (const MdObject::Characterization& c :
-           mo.CharacterizedBy(fact, i, spec.prob_at)) {
-        auto category = dimension.CategoryOf(c.value);
-        if (category.ok() && *category == spec.grouping[i]) {
-          per_dim[i].push_back(Coordinate{c.value, OptLife(c.life), c.prob});
-        }
-      }
-    }
-    if (per_dim[i].empty()) return std::nullopt;
-  }
-  return per_dim;
-}
-
-/// One group under construction. The group's time per dimension is the
-/// intersection over members of their characterization spans;
-/// probabilities multiply over members.
-struct GroupAccum {
-  ArenaVec<FactId> members;
-  std::vector<Lifespan> life_per_dim;
-  std::vector<double> prob_per_dim;
-  /// Per member: probability that the member belongs to this group
-  /// (product of its characterization probabilities across dimensions);
-  /// feeds expected counts.
-  ArenaVec<double> member_probs;
-};
-
-using GroupKey = std::vector<ValueId>;
-using GroupMap = std::map<GroupKey, GroupAccum>;
-
-/// Folds one fact's coordinate cross product into `groups` — the
-/// ordered-map baseline engine, kept byte-for-byte as the no-context
-/// ground truth the group-by core is differentially tested against, and
-/// the accumulation FoldAggregateAppend resumes. Per-group accumulation
-/// order is facts ascending, the order the core follows too.
-void AccumulateFact(std::size_t n, FactId fact, const CoordLists& per_dim,
-                    GroupMap& groups) {
-  // Enumerate the cross product of this fact's coordinate lists.
-  std::vector<std::size_t> cursor(n, 0);
-  while (true) {
-    GroupKey key(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      key[i] = per_dim[i][cursor[i]].value;
-    }
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    GroupAccum& group = it->second;
-    if (inserted) {
-      group.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-      group.prob_per_dim.assign(n, 1.0);
-    }
-    group.members.push_back(fact);
-    double member_prob = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Coordinate& c = per_dim[i][cursor[i]];
-      if (c.life.has_value()) {
-        group.life_per_dim[i] = group.life_per_dim[i].Intersect(*c.life);
-      }
-      group.prob_per_dim[i] *= c.prob;
-      member_prob *= c.prob;
-    }
-    group.member_probs.push_back(member_prob);
-    // Advance the cross-product cursor.
-    std::size_t i = 0;
-    while (i < n && ++cursor[i] == per_dim[i].size()) {
-      cursor[i] = 0;
-      ++i;
-    }
-    if (i == n) break;
-  }
-}
-
-/// Per-group evaluation shared by both paths: canonical member order,
-/// expected count, g(group), and the Section 4.2 result lifespan.
-/// Mutates only the group itself (sorting its members), so distinct
-/// groups evaluate concurrently.
-struct GroupEval {
-  double value = 0.0;
-  Lifespan result_life;
-};
-
-Result<GroupEval> EvaluateGroup(const MdObject& mo, const AggregateSpec& spec,
-                                GroupAccum& group) {
-  GroupEval eval;
-  // member_probs was built in member order; capture the expectation
-  // before members are sorted for canonical set identity.
-  double expected = 0.0;
-  for (double p : group.member_probs) expected += p;
-  std::sort(group.members.begin(), group.members.end());
-  if (spec.expected_counts &&
-      spec.function.kind() == AggregateFunctionKind::kSetCount) {
-    eval.value = expected;
-  } else {
-    MDDC_ASSIGN_OR_RETURN(
-        eval.value, spec.function.Evaluate(mo, group.members, spec.prob_at));
-  }
-
-  // Result-dimension time: per the Section 4.2 rule, the intersection
-  // over the group's members and g's argument dimensions of the times
-  // the member was related to its data (Always for argument-less
-  // functions such as set-count).
-  const std::size_t n = mo.dimension_count();
-  Lifespan result_life = Lifespan::AlwaysSpan();
-  for (std::size_t dim : spec.function.args()) {
-    if (dim >= n) continue;
-    const FactDimRelation& relation = mo.relation(dim);
-    for (FactId member : group.members) {
-      TemporalElement member_valid;
-      TemporalElement member_transaction;
-      for (std::size_t e : relation.EntryIndexesForFact(member)) {
-        const FactDimRelation::Entry& entry = relation.entries()[e];
-        member_valid = member_valid.Union(entry.life.valid);
-        member_transaction =
-            member_transaction.Union(entry.life.transaction);
-      }
-      result_life =
-          result_life.Intersect(Lifespan{member_valid, member_transaction});
-    }
-  }
-  eval.result_life = result_life;
-  return eval;
-}
-
 // ---- The group-by core -----------------------------------------------------
 
 /// Per-fact aggregate input of one accumulator class, computed once per
 /// fact (riding the coordinate pass's fan-out) and folded into every group
 /// the fact joins, in member order — the same per-member entry scan
-/// AggFunction::Evaluate and EvaluateGroup perform per group.
+/// AggFunction::Evaluate and the reference evaluator perform per group.
 struct FactContribution {
   FactContribution() = default;
   explicit FactContribution(Arena* arena)
@@ -756,24 +565,17 @@ struct NumericArg {
   std::shared_ptr<const NumericColumn> column;
 };
 
-/// `fact`'s contribution to `function`, whose argument dimension (if any)
-/// must be in range. `fact_entries` (null: per-fact lookups) holds the
-/// fact's entry runs at `fact_ordinal`; `numeric` (null: parse per entry)
-/// the argument column. A value the column has no number for is asked of
-/// the dimension again, so a failure carries NumericValueOf's own text.
+/// A fact's contribution to `function`, whose argument dimension (if any)
+/// must be in range. `entry_list(i)` is the fact's entry run in relation
+/// i; `numeric` (null: parse per entry) the argument column. A value the
+/// column has no number for is asked of the dimension again, so a failure
+/// carries NumericValueOf's own text.
+template <typename EntriesOf>
 FactContribution ContributionOf(const MdObject& mo,
                                 const AggFunction& function, Chronon prob_at,
-                                FactId fact,
-                                const FactEntryLists* fact_entries,
-                                std::size_t fact_ordinal,
+                                const EntriesOf& entry_list,
                                 const NumericArg* numeric, Arena* arena) {
   FactContribution c(arena);
-  const auto entry_list = [&](std::size_t dim) -> EntrySpan {
-    if (fact_entries == nullptr) {
-      return EntrySpan::Of(mo.relation(dim).EntryIndexesForFact(fact));
-    }
-    return (*fact_entries)[dim][fact_ordinal];
-  };
   for (std::size_t dim : function.args()) {
     if (dim >= mo.dimension_count()) continue;
     const FactDimRelation& relation = mo.relation(dim);
@@ -880,6 +682,30 @@ GroupPlan PlanGroupBy(const MdObject& mo,
   return plan;
 }
 
+/// One fact's coordinates on the live axes of `plan`, read from the
+/// compiled snapshots only, or nullopt when some axis has none (the fact
+/// then joins no group). `entries(i)` is the fact's entry run in relation
+/// i.
+template <typename EntriesOf>
+std::optional<CoordLists> LiveCoordinates(const MdObject& mo,
+                                          const GroupPlan& plan,
+                                          const EntriesOf& entries,
+                                          Arena* arena) {
+  const std::size_t nl = plan.live.size();
+  CoordLists per_axis{ArenaAllocator<CoordList>(arena)};
+  per_axis.reserve(nl);
+  for (std::size_t j = 0; j < nl; ++j) {
+    per_axis.emplace_back(ArenaAllocator<Coordinate>(arena));
+  }
+  for (std::size_t j = 0; j < nl; ++j) {
+    const std::size_t i = plan.live[j];
+    AppendDimCoordinates(mo.relation(i), *plan.indexes[i], plan.grouping[i],
+                         entries(i), per_axis[j]);
+    if (per_axis[j].empty()) return std::nullopt;
+  }
+  return per_axis;
+}
+
 /// What one core scan folds. Each class is the exemplar of the functions
 /// sharing an argument dimension (in range) and pair-vs-value reading: the
 /// Accumulator keeps count/sum/min/max regardless of which Finish reads
@@ -982,9 +808,9 @@ struct ScanPartition {
 /// of every kept fact and the per-class contributions (in parallel chunks
 /// when asked), then runs the dense-slot or flat-hash engine the plan
 /// chose. Every group accumulates per fact — members ascending, the order
-/// the ordered-map baseline builds groups in — and groups emit in
+/// the reference evaluator builds groups in — and groups emit in
 /// canonical key order (ascending slots ARE that order; flat-hash keys
-/// get one final sort), so the output matches the baseline at any thread
+/// get one final sort), so the output matches the reference at any thread
 /// count. A context with num_threads > 1 and at least min_parallel_facts
 /// kept facts takes the parallel path, whatever the functions and the
 /// hierarchy shapes: the dense engine partitions the slot space into
@@ -1003,32 +829,25 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
           ? facts.size()
           : static_cast<std::size_t>(
                 std::count(request.keep->begin(), request.keep->end(), true));
-  const bool parallel = exec != nullptr && exec->WantsParallel(kept);
+  const bool parallel = exec->WantsParallel(kept);
   const bool rendered = request.rendered;
   const bool dense = plan.verdict == DenseSlotSpace::Plan::kDense;
-  ExecStats* stats = exec != nullptr ? &exec->stats : nullptr;
-  if (exec != nullptr) {
-    if (plan.verdict == DenseSlotSpace::Plan::kTooManySlots) {
-      ++exec->stats.dense_slot_fallbacks;
-    }
-    ++(dense ? exec->stats.dense_groupby_runs : exec->stats.flat_hash_runs);
+  if (plan.verdict == DenseSlotSpace::Plan::kTooManySlots) {
+    ++exec->stats.dense_slot_fallbacks;
   }
-  Arena* coordinator = exec != nullptr ? &exec->arena : nullptr;
+  ++(dense ? exec->stats.dense_groupby_runs : exec->stats.flat_hash_runs);
+  Arena* coordinator = &exec->arena;
 
   // Runs body(begin, end, arena) over the fact range: in chunks on the
   // pool, each with its own worker arena, on the parallel path.
+  const std::size_t chunks =
+      parallel ? std::min(facts.size(), exec->num_threads * 4) : 1;
+  if (parallel) exec->EnsureWorkerArenas(chunks);
   const auto for_fact_chunks = [&](const auto& body) {
-    if (!parallel) {
-      body(std::size_t{0}, facts.size(), coordinator);
-      return;
-    }
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
+    exec->RunTasks(parallel, chunks, [&](std::size_t chunk) {
       body(chunk * facts.size() / chunks, (chunk + 1) * facts.size() / chunks,
-           &exec->worker_arena(chunk));
+           parallel ? &exec->worker_arena(chunk) : coordinator);
     });
-    exec->stats.tasks += chunks;
   };
 
   // 1. Per-fact entry lists for the live axes and the classes' argument
@@ -1047,25 +866,12 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
   //    joins no group, and a false keep entry is skipped outright —
   //    selection pushdown without the materialized Select.
   std::vector<std::optional<CoordLists>> coords(facts.size());
-  const auto live_coords = [&](std::size_t f,
-                               Arena* arena) -> std::optional<CoordLists> {
-    CoordLists per_axis{ArenaAllocator<CoordList>(arena)};
-    per_axis.reserve(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      per_axis.emplace_back(ArenaAllocator<Coordinate>(arena));
-    }
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      AppendDimCoordinates(mo.relation(i), *plan.indexes[i], plan.grouping[i],
-                           fact_entries[i][f], per_axis[j]);
-      if (per_axis[j].empty()) return std::nullopt;
-    }
-    return per_axis;
-  };
   for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
     for (std::size_t f = begin; f < end; ++f) {
       if (request.keep == nullptr || (*request.keep)[f]) {
-        coords[f] = live_coords(f, arena);
+        coords[f] = LiveCoordinates(
+            mo, plan, [&](std::size_t i) { return fact_entries[i][f]; },
+            arena);
       }
     }
   });
@@ -1081,16 +887,17 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
     NumericArg numeric;
     if (function.kind() != AggregateFunctionKind::kCount) {
       const Dimension& dimension = mo.dimension(function.args().front());
-      numeric.index = RollupIndex::For(dimension, stats);
-      numeric.column =
-          numeric.index->NumericColumnAt(dimension, request.prob_at, stats);
+      numeric.index = RollupIndex::For(dimension, &exec->stats);
+      numeric.column = numeric.index->NumericColumnAt(
+          dimension, request.prob_at, &exec->stats);
     }
     contribs[c].resize(facts.size());
     for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
       for (std::size_t f = begin; f < end; ++f) {
         if (coords[f].has_value()) {
           contribs[c][f] = ContributionOf(
-              mo, function, request.prob_at, facts[f], &fact_entries, f,
+              mo, function, request.prob_at,
+              [&](std::size_t i) { return fact_entries[i][f]; },
               numeric.column != nullptr ? &numeric : nullptr, arena);
         }
       }
@@ -1214,19 +1021,16 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
       }
     }
   };
+  exec->RunTasks(parallel, num_partitions, scan_partition);
   if (parallel) {
-    exec->pool().ParallelFor(num_partitions, scan_partition);
-    exec->stats.tasks += num_partitions;
     exec->stats.partitions += num_partitions;
     ++exec->stats.parallel_runs;
-  } else {
-    scan_partition(0);
   }
 
   // 5. Canonical group order: ascending slot for the dense engine (the
   //    partitions own ascending disjoint ranges), one lexicographic key
-  //    sort for the flat-hash engine — both exactly the ordered map's
-  //    iteration order.
+  //    sort for the flat-hash engine — both ascending lexicographic key
+  //    order.
   struct GroupRef {
     std::uint32_t partition;
     std::uint32_t ordinal;
@@ -1318,18 +1122,48 @@ GroupScan ScanGroups(const MdObject& mo, const GroupPlan& plan,
   return out;
 }
 
-/// Steps 4-6 of aggregate formation, shared with FoldAggregateAppend:
-/// restrict the argument dimensions, build the result dimension under the
-/// Section 4.1 typing rule, and populate facts/relations from the
-/// evaluated groups in canonical order. When spec.capture is set, the raw
-/// (pre-presentation) per-group state is recorded here — this is the only
-/// place every engine funnels through with both the accumulators and the
-/// evaluations in hand.
+/// Rejects a grouping that does not name one category of each dimension;
+/// `op` names the operator in the message.
+Status ValidateGrouping(const MdObject& mo,
+                        const std::vector<CategoryTypeIndex>& grouping,
+                        const char* op) {
+  if (grouping.size() != mo.dimension_count()) {
+    return Status::InvalidArgument(
+        StrCat(op, " got ", grouping.size(), " grouping categories for a ",
+               mo.dimension_count(), "-dimensional MO"));
+  }
+  for (std::size_t i = 0; i < grouping.size(); ++i) {
+    if (grouping[i] >= mo.dimension(i).type().category_count()) {
+      return Status::InvalidArgument(
+          StrCat("grouping category ", grouping[i],
+                 " out of range for dimension '", mo.dimension(i).name(),
+                 "'"));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ValidateAggregateSpec(const MdObject& mo, const AggregateSpec& spec) {
+  MDDC_RETURN_NOT_OK(
+      ValidateGrouping(mo, spec.grouping, "aggregate formation"));
+  if (spec.enforce_aggregation_types) {
+    return spec.function.CheckApplicable(mo);
+  }
+  return Status::OK();
+}
+
+/// Steps 4-6 of aggregate formation, shared by every engine: restrict the
+/// argument dimensions, build the result dimension under the Section 4.1
+/// typing rule, and populate facts/relations from the evaluated groups in
+/// canonical order. When spec.capture is set, the raw (pre-presentation)
+/// per-group state is recorded here — the one place every engine funnels
+/// through with both the accumulators and the evaluations in hand.
 Result<MdObject> AssembleAggregateResult(
     const MdObject& mo, const AggregateSpec& spec,
     const SummarizabilityReport& summarizability,
-    const std::vector<GroupKey>& keys, std::vector<GroupAccum>& accums,
-    const std::vector<GroupEval>& evals) {
+    std::vector<AssembledGroup> groups) {
   const std::size_t n = mo.dimension_count();
 
   // 4. Argument dimensions restricted to the categories at or above the
@@ -1397,7 +1231,7 @@ Result<MdObject> AssembleAggregateResult(
   AggregateFoldState* capture = spec.capture;
   if (capture != nullptr) {
     capture->groups.clear();
-    capture->groups.reserve(keys.size());
+    capture->groups.reserve(groups.size());
     capture->summarizability = summarizability;
     capture->dim_versions.clear();
     capture->dim_structural_versions.clear();
@@ -1416,9 +1250,9 @@ Result<MdObject> AssembleAggregateResult(
     capture->valid = spec.result.is_auto();
   }
 
-  // 5. Populate facts and relations from the step-3 evaluations, in
-  //    canonical group order (members already canonically sorted) —
-  //    g(group) and the result lifespan are not recomputed here.
+  // 5. Populate facts and relations from the evaluated groups, in
+  //    canonical group order (members ascending) — g(group) and the result
+  //    lifespan are not recomputed here.
   FactRegistry& registry = *mo.registry();
   Dimension& out_result_dim = result.dimension_mutable(n);
   // Result values are interned by the double's bit pattern, not its
@@ -1426,25 +1260,21 @@ Result<MdObject> AssembleAggregateResult(
   //    collapses NaN payloads, and two distinct results must never share
   //    a result value. The formatted text is display-only.
   std::map<std::uint64_t, ValueId> auto_values;
-  for (std::size_t g = 0; g < keys.size(); ++g) {
-    const GroupKey& key = keys[g];
-    GroupAccum& group = accums[g];
-    const GroupEval& eval = evals[g];
-    FactId group_fact = registry.Set(
-        std::vector<FactId>(group.members.begin(), group.members.end()));
+  for (AssembledGroup& group : groups) {
+    const FactId group_fact = group.group_fact.valid()
+                                  ? group.group_fact
+                                  : registry.Set(std::move(group.members));
     MDDC_RETURN_NOT_OK(result.AddFact(group_fact));
-    const double value = eval.value;
+    const double value = group.value;
 
     if (capture != nullptr && capture->valid) {
       AggregateFoldState::Group snapshot;
-      snapshot.key = key;
+      snapshot.key = group.key;
       snapshot.group_fact = group_fact;
-      snapshot.member_count = group.members.size();
-      snapshot.life_per_dim.assign(group.life_per_dim.begin(),
-                                   group.life_per_dim.end());
-      snapshot.prob_per_dim.assign(group.prob_per_dim.begin(),
-                                   group.prob_per_dim.end());
-      snapshot.result_life = eval.result_life;
+      snapshot.member_count = group.member_count;
+      snapshot.life_per_dim = group.life_per_dim;
+      snapshot.prob_per_dim = group.prob_per_dim;
+      snapshot.result_life = group.result_life;
       snapshot.value = value;
       capture->groups.push_back(std::move(snapshot));
     }
@@ -1459,12 +1289,12 @@ Result<MdObject> AssembleAggregateResult(
         life = Lifespan::AlwaysSpan();
       }
       MDDC_RETURN_NOT_OK(result.relation_mutable(i).Add(
-          group_fact, key[i], life, group.prob_per_dim[i]));
+          group_fact, group.key[i], life, group.prob_per_dim[i]));
     }
 
     // Result-dimension relation: group fact -> g(group), at the Section
-    // 4.2 result lifespan EvaluateGroup computed.
-    Lifespan result_life = eval.result_life;
+    // 4.2 result lifespan.
+    Lifespan result_life = group.result_life;
     ValueId result_value;
     if (spec.result.is_auto()) {
       const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
@@ -1496,28 +1326,11 @@ Result<MdObject> AssembleAggregateResult(
   return result;
 }
 
-}  // namespace
-
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec) {
-  if (spec.grouping.size() != mo.dimension_count()) {
-    return Status::InvalidArgument(
-        StrCat("aggregate formation got ", spec.grouping.size(),
-               " grouping categories for a ", mo.dimension_count(),
-               "-dimensional MO"));
-  }
-  for (std::size_t i = 0; i < spec.grouping.size(); ++i) {
-    if (spec.grouping[i] >= mo.dimension(i).type().category_count()) {
-      return Status::InvalidArgument(
-          StrCat("grouping category ", spec.grouping[i],
-                 " out of range for dimension '", mo.dimension(i).name(),
-                 "'"));
-    }
-  }
-  if (spec.enforce_aggregation_types) {
-    MDDC_RETURN_NOT_OK(spec.function.CheckApplicable(mo));
-  }
+  DefaultContext scope(exec);
+  MDDC_RETURN_NOT_OK(ValidateAggregateSpec(mo, spec));
 
   // The grouping collects characterizations across all time, so the
   // strictness/partitioning conditions are checked atemporally. The
@@ -1525,37 +1338,7 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   // builds every group whole, so it parallelizes regardless.
   const SummarizabilityReport summarizability =
       CheckSummarizability(mo, spec.function.kind(), spec.grouping);
-
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
   const std::size_t n = mo.dimension_count();
-
-  // Build and evaluate groups. Either engine yields groups in canonical
-  // lexicographic key order with members in ascending fact order, so the
-  // assembled result is byte-identical across engines and thread counts.
-  std::vector<GroupKey> keys;
-  std::vector<GroupAccum> accums;
-  std::vector<GroupEval> evals;
-  if (exec == nullptr) {
-    // Context-free callers keep the ordered-map engine as differential
-    // ground truth (docs/groupby_kernel.md).
-    GroupMap groups;
-    for (FactId fact : facts) {
-      std::optional<CoordLists> coords =
-          GroupingCoordinates(mo, spec, fact, {}, nullptr);
-      if (coords.has_value()) AccumulateFact(n, fact, *coords, groups);
-    }
-    keys.reserve(groups.size());
-    accums.reserve(groups.size());
-    evals.reserve(groups.size());
-    for (auto& [key, group] : groups) {
-      MDDC_ASSIGN_OR_RETURN(GroupEval eval, EvaluateGroup(mo, spec, group));
-      keys.push_back(key);
-      evals.push_back(eval);
-      accums.push_back(std::move(group));
-    }
-    return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
-                                   evals);
-  }
 
   // Everything arena-backed in the core is scratch of this one formation;
   // the guard rewinds the context's arenas on every exit path.
@@ -1572,7 +1355,7 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   GroupScan scan = ScanGroups(mo, plan, request, exec);
   if (bad_dim && !scan.groups.empty()) {
     // Every group's Evaluate would fail identically; surface it exactly
-    // as the baseline does for its first group.
+    // as the reference does for its first group.
     return Status::InvalidArgument(
         StrCat(spec.function.name(), " references dimension ",
                spec.function.args().front(), " of a ", n, "-dimensional MO"));
@@ -1581,42 +1364,37 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   // their coordinate is the top value with Always lifespan and
   // probability 1 for every fact.
   const std::size_t nl = plan.live.size();
-  keys.reserve(scan.groups.size());
-  accums.reserve(scan.groups.size());
-  evals.reserve(scan.groups.size());
+  std::vector<AssembledGroup> groups(scan.groups.size());
   for (std::size_t t = 0; t < scan.groups.size(); ++t) {
     StreamGroup& group = scan.groups[t];
-    GroupEval eval;
+    AssembledGroup& out = groups[t];
     if (spec.function.kind() == AggregateFunctionKind::kSetCount) {
-      eval.value = spec.expected_counts
-                       ? scan.expected[t]
-                       : static_cast<double>(group.member_facts.size());
+      out.value = spec.expected_counts
+                      ? scan.expected[t]
+                      : static_cast<double>(group.member_facts.size());
     } else {
       if (!scan.errors[t].ok()) return scan.errors[t];
-      MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(scan.accums[t]));
+      MDDC_ASSIGN_OR_RETURN(out.value, spec.function.Finish(scan.accums[t]));
     }
-    eval.result_life = std::move(scan.result_life[t]);
-    GroupKey key(n);
-    GroupAccum accum;
-    accum.members.assign(group.member_facts.begin(), group.member_facts.end());
-    accum.life_per_dim.resize(n);
-    accum.prob_per_dim.assign(n, 1.0);
+    out.result_life = std::move(scan.result_life[t]);
+    out.key.resize(n);
+    out.life_per_dim.resize(n);
+    out.prob_per_dim.assign(n, 1.0);
     for (std::size_t i = 0, j = 0; i < n; ++i) {
       if (j < nl && plan.live[j] == i) {
-        key[i] = group.key[j];
-        accum.life_per_dim[i] = std::move(scan.life_per_axis[t * nl + j]);
-        accum.prob_per_dim[i] = scan.prob_per_axis[t * nl + j];
+        out.key[i] = group.key[j];
+        out.life_per_dim[i] = std::move(scan.life_per_axis[t * nl + j]);
+        out.prob_per_dim[i] = scan.prob_per_axis[t * nl + j];
         ++j;
       } else {
-        key[i] = mo.dimension(i).top_value();
+        out.key[i] = mo.dimension(i).top_value();
       }
     }
-    keys.push_back(std::move(key));
-    accums.push_back(std::move(accum));
-    evals.push_back(std::move(eval));
+    out.member_count = group.member_facts.size();
+    out.members = std::move(group.member_facts);
   }
-  return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
-                                 evals);
+  return AssembleAggregateResult(mo, spec, summarizability,
+                                 std::move(groups));
 }
 
 Result<MdObject> FoldAggregateAppend(const MdObject& mo,
@@ -1624,6 +1402,7 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                                      const AggregateFoldState& state,
                                      const std::vector<FactId>& delta_facts,
                                      ExecContext* exec) {
+  DefaultContext scope(exec);
   const std::size_t n = mo.dimension_count();
   if (!state.valid) {
     return Status::InvalidArgument("fold state is not resumable");
@@ -1654,6 +1433,11 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
         StrCat(spec.function.name(),
                " is not incrementally foldable (AVG re-divides and expected"
                " counts re-weigh every member)"));
+  }
+  if (!spec.function.args().empty() && spec.function.args().front() >= n) {
+    return Status::InvalidArgument(
+        StrCat(spec.function.name(), " references dimension ",
+               spec.function.args().front(), " of a ", n, "-dimensional MO"));
   }
   for (std::size_t i = 0; i < n; ++i) {
     const Dimension& dimension = mo.dimension(i);
@@ -1706,14 +1490,9 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
         summarizability.summarizable && strict && partitioning;
   }
 
-  ArenaResetGuard arena_guard{exec};
-
-  // Seed one merged ordered map from the captured groups — std::map's
-  // iteration order IS the canonical lexicographic emission order — then
-  // resume the exact member-order left-folds over the delta facts. The
-  // registry read-back recovers each group's canonical member list (set
-  // terms stay resolvable through fork chains).
-  GroupMap groups;
+  // The captured groups are checked in place against the registry (set
+  // terms stay resolvable through fork chains); no member list is copied
+  // here, and untouched groups never copy theirs.
   const FactRegistry& registry = *mo.registry();
   FactId max_old_member;  // invalid = no captured members at all
   for (std::size_t g = 0; g < state.groups.size(); ++g) {
@@ -1726,20 +1505,15 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
       return Status::InvalidArgument(
           "fold state groups are not in canonical key order");
     }
-    MDDC_ASSIGN_OR_RETURN(FactTerm term, registry.Get(old_group.group_fact));
-    if (term.kind != FactTerm::Kind::kSet ||
-        term.members.size() != old_group.member_count) {
+    const FactTerm* term = registry.FindTerm(old_group.group_fact);
+    if (term == nullptr || term->kind != FactTerm::Kind::kSet ||
+        term->members.size() != old_group.member_count) {
       return Status::InvalidArgument("fold state group members drifted");
     }
-    GroupAccum seeded;
-    seeded.members.assign(term.members.begin(), term.members.end());
-    seeded.life_per_dim = old_group.life_per_dim;
-    seeded.prob_per_dim = old_group.prob_per_dim;
-    if (!term.members.empty() &&
-        (!max_old_member.valid() || max_old_member < term.members.back())) {
-      max_old_member = term.members.back();
+    if (!term->members.empty() &&
+        (!max_old_member.valid() || max_old_member < term->members.back())) {
+      max_old_member = term->members.back();
     }
-    groups.emplace_hint(groups.end(), old_group.key, std::move(seeded));
   }
   // The byte-identity argument needs every delta fact to sort after every
   // captured member and the delta itself to ascend — the natural shape of
@@ -1754,103 +1528,144 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
     }
   }
 
-  // Delta accumulation: the baseline's AccumulateFact, resumed on the
-  // seeded groups, over coordinates resolved through the planned rollup
-  // snapshots (which themselves patch incrementally on appends — see
-  // RollupIndex::For). The delta is small by construction, so the scan
-  // stays sequential.
+  // The delta scan, on the core's planning step: each delta fact's live
+  // coordinates come from the planned rollup snapshots (which patch
+  // incrementally on appends — see RollupIndex::For) and its contribution
+  // from ContributionOf. A group the delta touches resumes from its
+  // captured state (a fresh group from the empty one) and folds its delta
+  // members as the scan meets them, facts ascending — the very left-folds
+  // a full run performs over old-then-new members: coordinate lifespans
+  // and probability products per dimension, the Section 4.2 result
+  // lifespan, and the accumulator seeded from the captured value.
+  // Combining a separately accumulated delta partial instead would not be
+  // byte-identical for SUM or for probabilities. The delta is small by
+  // construction, so the scan stays sequential.
+  ArenaResetGuard arena_guard{exec};
   const GroupPlan plan = PlanGroupBy(
-      mo, spec.grouping,
-      exec != nullptr ? exec->max_dense_groupby_slots
-                      : ExecContext::kDefaultMaxDenseGroupbySlots,
-      exec != nullptr ? &exec->stats : nullptr);
-  Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-  for (FactId fact : delta_facts) {
-    std::optional<CoordLists> coords =
-        GroupingCoordinates(mo, spec, fact, plan.indexes, arena);
-    if (coords.has_value()) AccumulateFact(n, fact, *coords, groups);
+      mo, spec.grouping, exec->max_dense_groupby_slots, &exec->stats);
+  struct Touched {
+    AssembledGroup group;
+    AggFunction::Accumulator acc;
+  };
+  std::vector<Touched> touched;
+  std::vector<std::size_t> by_key;  // touched, in canonical key order
+  const auto captured = [](const AggregateFoldState::Group& old) {
+    return AssembledGroup{.key = old.key,
+                          .group_fact = old.group_fact,
+                          .member_count = old.member_count,
+                          .life_per_dim = old.life_per_dim,
+                          .prob_per_dim = old.prob_per_dim,
+                          .value = old.value,
+                          .result_life = old.result_life};
+  };
+  const auto resume = [&](const std::vector<ValueId>& key) -> Touched& {
+    const auto at = std::lower_bound(
+        by_key.begin(), by_key.end(), key,
+        [&](std::size_t t, const auto& k) { return touched[t].group.key < k; });
+    if (at != by_key.end() && touched[*at].group.key == key) {
+      return touched[*at];
+    }
+    by_key.insert(at, touched.size());
+    Touched& t = touched.emplace_back();
+    const auto old = std::lower_bound(
+        state.groups.begin(), state.groups.end(), key,
+        [](const auto& g, const auto& k) { return g.key < k; });
+    if (old == state.groups.end() || old->key != key) {
+      t.group = AssembledGroup{.key = key,
+                               .life_per_dim = std::vector<Lifespan>(
+                                   n, Lifespan::AlwaysSpan()),
+                               .prob_per_dim = std::vector<double>(n, 1.0),
+                               .result_life = Lifespan::AlwaysSpan()};
+      return t;
+    }
+    t.group = captured(*old);
+    t.group.group_fact = FactId();
+    t.group.members = registry.FindTerm(old->group_fact)->members;
+    // The captured value IS the accumulator's settled statistic, and
+    // count only matters to Finish's empty-group error, which the capture
+    // already cleared. SetCount resumes from the member count.
+    t.acc.count = 1;
+    if (kind == AggregateFunctionKind::kSum) t.acc.sum = old->value;
+    if (kind == AggregateFunctionKind::kMin) t.acc.min_value = old->value;
+    if (kind == AggregateFunctionKind::kMax) t.acc.max_value = old->value;
+    if (kind == AggregateFunctionKind::kCount) {
+      t.acc.count = static_cast<std::size_t>(old->value);
+    }
+    return t;
+  };
+  const std::size_t nl = plan.live.size();
+  std::vector<ValueId> key(n);
+  for (std::size_t i = 0; i < n; ++i) key[i] = mo.dimension(i).top_value();
+  for (const FactId fact : delta_facts) {
+    const auto entries = [&](std::size_t i) {
+      return EntrySpan::Of(mo.relation(i).EntryIndexesForFact(fact));
+    };
+    const std::optional<CoordLists> coords =
+        LiveCoordinates(mo, plan, entries, &exec->arena);
+    if (!coords.has_value()) continue;
+    const FactContribution c = ContributionOf(
+        mo, spec.function, spec.prob_at, entries, nullptr, &exec->arena);
+    MDDC_RETURN_NOT_OK(c.error);
+    std::vector<std::size_t> cursor(nl, 0);
+    while (true) {
+      for (std::size_t j = 0; j < nl; ++j) {
+        key[plan.live[j]] = (*coords)[j][cursor[j]].value;
+      }
+      Touched& t = resume(key);
+      t.group.members.push_back(fact);
+      for (std::size_t j = 0; j < nl; ++j) {
+        const Coordinate& coord = (*coords)[j][cursor[j]];
+        Lifespan& life = t.group.life_per_dim[plan.live[j]];
+        if (coord.life.has_value()) life = life.Intersect(*coord.life);
+        t.group.prob_per_dim[plan.live[j]] *= coord.prob;
+      }
+      if (c.arg_life.has_value()) {
+        t.group.result_life = t.group.result_life.Intersect(*c.arg_life);
+      }
+      t.acc.AddCounted(c.counted);
+      for (double value : c.values) t.acc.Add(value);
+      // Advance the cross-product cursor.
+      std::size_t j = 0;
+      while (j < nl && ++cursor[j] == (*coords)[j].size()) {
+        cursor[j] = 0;
+        ++j;
+      }
+      if (j == nl) break;
+    }
   }
 
-  // Evaluate merged groups in canonical order, walking the captured
-  // groups alongside: untouched groups replay their captured value
-  // verbatim, fresh groups evaluate from scratch (exactly what the full
-  // run would do for a group of only-new members), and extended groups
-  // resume the accumulator and the Section 4.2 result lifespan from the
-  // capture over the fresh members' contributions, so the floating-point
-  // and temporal operation sequence matches a full old-then-new fold.
-  std::vector<GroupKey> keys;
-  std::vector<GroupAccum> accums;
-  std::vector<GroupEval> evals;
-  keys.reserve(groups.size());
-  accums.reserve(groups.size());
-  evals.reserve(groups.size());
-  std::size_t next_old = 0;
-  for (auto& [key, group] : groups) {
-    const AggregateFoldState::Group* old_group = nullptr;
-    if (next_old < state.groups.size() && state.groups[next_old].key == key) {
-      old_group = &state.groups[next_old++];
-    }
-    GroupEval eval;
-    if (old_group == nullptr) {
-      MDDC_ASSIGN_OR_RETURN(eval, EvaluateGroup(mo, spec, group));
-    } else if (group.members.size() == old_group->member_count) {
-      eval.value = old_group->value;
-      eval.result_life = old_group->result_life;
+  // One ordered merge of the captured groups with the touched ones, both
+  // in canonical key order. An untouched group replays its interned
+  // set-fact and captured state verbatim, its member list never read.
+  std::vector<AssembledGroup> groups;
+  groups.reserve(state.groups.size() + touched.size());
+  const auto settle = [&](Touched& t) -> Status {
+    t.group.member_count = t.group.members.size();
+    if (kind == AggregateFunctionKind::kSetCount) {
+      t.group.value = static_cast<double>(t.group.member_count);
     } else {
-      if (!spec.function.args().empty() && spec.function.args().front() >= n) {
-        return Status::InvalidArgument(
-            StrCat(spec.function.name(), " references dimension ",
-                   spec.function.args().front(), " of a ", n,
-                   "-dimensional MO"));
-      }
-      // The captured value IS the accumulator's settled statistic, and
-      // count only matters to Finish's empty-group error, which the
-      // capture already cleared.
-      AggFunction::Accumulator acc;
-      acc.count = 1;
-      switch (kind) {
-        case AggregateFunctionKind::kSum:
-          acc.sum = old_group->value;
-          break;
-        case AggregateFunctionKind::kCount:
-          acc.count = static_cast<std::size_t>(old_group->value);
-          break;
-        case AggregateFunctionKind::kMin:
-          acc.min_value = old_group->value;
-          break;
-        case AggregateFunctionKind::kMax:
-          acc.max_value = old_group->value;
-          break;
-        default:  // SetCount resumes from the member count below
-          break;
-      }
-      eval.result_life = old_group->result_life;
-      for (std::size_t m = old_group->member_count; m < group.members.size();
-           ++m) {
-        const FactContribution c =
-            ContributionOf(mo, spec.function, spec.prob_at, group.members[m],
-                           nullptr, 0, nullptr, arena);
-        if (c.arg_life.has_value()) {
-          eval.result_life = eval.result_life.Intersect(*c.arg_life);
-        }
-        MDDC_RETURN_NOT_OK(c.error);
-        acc.AddCounted(c.counted);
-        for (double value : c.values) acc.Add(value);
-      }
-      if (kind == AggregateFunctionKind::kSetCount) {
-        eval.value = static_cast<double>(group.members.size());
-      } else {
-        MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(acc));
-      }
+      MDDC_ASSIGN_OR_RETURN(t.group.value, spec.function.Finish(t.acc));
     }
-    keys.push_back(key);
-    accums.push_back(std::move(group));
-    evals.push_back(std::move(eval));
+    groups.push_back(std::move(t.group));
+    return Status::OK();
+  };
+  std::size_t next = 0;
+  for (const AggregateFoldState::Group& old : state.groups) {
+    for (; next < by_key.size() && !(old.key < touched[by_key[next]].group.key);
+         ++next) {
+      MDDC_RETURN_NOT_OK(settle(touched[by_key[next]]));
+    }
+    if (groups.empty() || groups.back().key != old.key) {
+      groups.push_back(captured(old));
+    }
+  }
+  for (; next < by_key.size(); ++next) {
+    MDDC_RETURN_NOT_OK(settle(touched[by_key[next]]));
   }
 
-  if (exec != nullptr) ++exec->stats.aggregate_folds;
-  return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
-                                 evals);
+  ++exec->stats.aggregate_folds;
+  return AssembleAggregateResult(mo, spec, summarizability,
+                                 std::move(groups));
 }
 
 // ---- Streaming multi-aggregate group-by ------------------------------------
@@ -1858,19 +1673,15 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
 StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
                                  ExecContext* exec) {
+  DefaultContext scope(exec);
   StreamProbe probe;
-  const std::size_t n = mo.dimension_count();
-  if (grouping.size() != n) return probe;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (grouping[i] >= mo.dimension(i).type().category_count()) return probe;
+  if (!ValidateGrouping(mo, grouping, "aggregate stream probe").ok()) {
+    return probe;
   }
   // The probe never touches stats: EXPLAIN must not perturb the counters
   // of the statements it describes.
-  const GroupPlan plan = PlanGroupBy(
-      mo, grouping,
-      exec != nullptr ? exec->max_dense_groupby_slots
-                      : ExecContext::kDefaultMaxDenseGroupbySlots,
-      nullptr);
+  const GroupPlan plan =
+      PlanGroupBy(mo, grouping, exec->max_dense_groupby_slots, nullptr);
   probe.live = plan.live;
   probe.all_indexed = plan.verdict != DenseSlotSpace::Plan::kNotIndexed;
   if (plan.verdict == DenseSlotSpace::Plan::kDense) {
@@ -1891,20 +1702,9 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,
                                                  ExecContext* exec) {
+  DefaultContext scope(exec);
   const std::size_t n = mo.dimension_count();
-  if (spec.grouping.size() != n) {
-    return Status::InvalidArgument(
-        StrCat("aggregate stream got ", spec.grouping.size(),
-               " grouping categories for a ", n, "-dimensional MO"));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (spec.grouping[i] >= mo.dimension(i).type().category_count()) {
-      return Status::InvalidArgument(
-          StrCat("grouping category ", spec.grouping[i],
-                 " out of range for dimension '", mo.dimension(i).name(),
-                 "'"));
-    }
-  }
+  MDDC_RETURN_NOT_OK(ValidateGrouping(mo, spec.grouping, "aggregate stream"));
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
   if (spec.keep != nullptr && spec.keep->size() != facts.size()) {
     return Status::InvalidArgument(
@@ -1942,10 +1742,7 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
   const std::size_t nclasses = request.classes.size();
 
   const GroupPlan plan = PlanGroupBy(
-      mo, spec.grouping,
-      exec != nullptr ? exec->max_dense_groupby_slots
-                      : ExecContext::kDefaultMaxDenseGroupbySlots,
-      exec != nullptr ? &exec->stats : nullptr);
+      mo, spec.grouping, exec->max_dense_groupby_slots, &exec->stats);
   GroupScan scan = ScanGroups(mo, plan, request, exec);
 
   // Function-major emission: function k's errors (CheckApplicable, then

@@ -201,17 +201,16 @@ struct AggregateSpec {
 /// summarizability rule of Section 4.1 (min of argument types when
 /// distributive + strict + partitioning, else c).
 ///
-/// Any ExecContext runs the one group-by core (docs/groupby_kernel.md)
-/// with a single accumulator class, asking it to also record the state
-/// only this operator renders (per-dimension lifespans and
-/// probabilities, expected counts, the Section 4.2 result lifespan). The
-/// core plans over the live (non-top) axes: dense row-major slots over
-/// the compiled rollup index when every live axis is covered and the
-/// slot cross-product fits exec->max_dense_groupby_slots, an
-/// open-addressing flat-hash scan otherwise; top-grouped dimensions are
-/// re-inserted (top value, Always, probability 1) before assembly.
-/// Without a context the ordered-map baseline runs unchanged. With
-/// num_threads > 1 and a fact set of at least min_parallel_facts the
+/// Runs the one group-by core (docs/groupby_kernel.md) with a single
+/// accumulator class, asking it to also record the state only this
+/// operator renders (per-dimension lifespans and probabilities, expected
+/// counts, the Section 4.2 result lifespan); a call without a context
+/// runs on a default one. The core plans over the live (non-top) axes:
+/// dense row-major slots over the compiled rollup index when every live
+/// axis is covered and the slot cross-product fits
+/// exec->max_dense_groupby_slots, an open-addressing flat-hash scan
+/// otherwise; top-grouped dimensions are re-inserted (top value, Always,
+/// probability 1) before assembly. With num_threads > 1 and a fact set of at least min_parallel_facts the
 /// core additionally fans out: each worker scans all facts and owns a
 /// disjoint slice of the group space (contiguous slot ranges, or keys by
 /// hash), so every group is built whole by one worker and the result —
@@ -226,6 +225,17 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec = nullptr);
 
+/// The reference evaluator of aggregate formation (reference_aggregate.cc):
+/// coordinates from MdObject::CharacterizedBy, groups in an ordered map,
+/// g evaluated per group by AggFunction::Evaluate — independent of the
+/// group-by core but for the shared assembly. AggregateFormation at any
+/// thread count, AggregateStream and FoldAggregateAppend must match it
+/// byte for byte, errors included. Only the differential tests and
+/// benches and the MDQL tree-walk interpreter (the enable_compiler = false
+/// oracle) call it.
+Result<MdObject> ReferenceAggregateFormation(const MdObject& mo,
+                                             const AggregateSpec& spec);
+
 /// Resumes a captured formation over `delta_facts` — the facts appended
 /// to the MO since `state` was recorded — and returns a result MO
 /// byte-identical to re-running AggregateFormation(mo, spec) from
@@ -237,16 +247,18 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
 /// explicit result specs, or an invalid state all return an error so
 /// the caller can fall back to a full re-run.
 ///
-/// The delta's coordinates come from the same rollup-index planning step
-/// as the group-by core and fold through the baseline's ordered-map
-/// accumulation. Foldability per Section 3.4: SUM/COUNT/MIN/MAX resume
-/// their exact accumulator (and the result lifespan) from the captured
-/// per-group state over the fresh members' contributions; crisp SetCount
-/// resumes from the member count; strict-path checks factorize over the fact
-/// partition (only the delta is re-scanned) and partitioning — a
-/// dimension-local property appends can break — is recomputed when the
-/// dimension's version moved. When spec.capture is set, the fold records
-/// the merged state so the next append folds again.
+/// The delta's coordinates and contributions come from the group-by
+/// core's planning step and per-fact bodies; its groups merge with the
+/// captured ones in one ordered pass that never copies an untouched
+/// group's member list. Foldability per Section 3.4: SUM/COUNT/MIN/MAX
+/// resume their exact accumulator (and the lifespans and probability
+/// products) from the captured per-group state over the fresh members,
+/// in ascending fact order; crisp SetCount resumes from the member count;
+/// strict-path checks factorize over the fact partition (only the delta
+/// is re-scanned) and partitioning — a dimension-local property appends
+/// can break — is recomputed when the dimension's version moved. When
+/// spec.capture is set, the fold records the merged state so the next
+/// append folds again.
 Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                                      const AggregateSpec& spec,
                                      const AggregateFoldState& state,
@@ -284,8 +296,8 @@ struct StreamSpec {
 };
 
 /// One output group of AggregateStream, in canonical order (ascending
-/// lexicographic ValueId key — the same order AggregateFormation's
-/// ordered-map baseline emits groups in).
+/// lexicographic ValueId key — the order every aggregate-formation
+/// engine emits groups in).
 struct StreamGroup {
   /// The grouping values of the live (non-top) dimensions, in ascending
   /// dimension-index order.
@@ -335,8 +347,8 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
 /// argument dimension's memoized numeric column, as AggregateFormation
 /// does. Counts dense_groupby_runs / flat_hash_runs /
 /// dense_slot_fallbacks / index_hits / index_fallbacks / parallel_runs /
-/// numeric_column_builds on the context; without one the plan uses
-/// ExecContext::kDefaultMaxDenseGroupbySlots.
+/// numeric_column_builds on the context (a default one when none is
+/// given).
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,
                                                  ExecContext* exec = nullptr);

@@ -28,36 +28,19 @@ Lifespan Residual(const Lifespan& life, Axis axis) {
   return result;
 }
 
-/// `index` (nullable) is a compiled snapshot of `dimension`: the value
-/// scan then walks the dense value/category/membership arrays — laid out
-/// in the same ascending-ValueId order AllValues() iterates — instead of
-/// paying two map lookups per value. Every other step (edge scan in
-/// insertion order, representation carry-over) is shared, so the sliced
-/// dimension is bit-identical with or without the snapshot.
+/// `index` is the compiled snapshot of `dimension`: the value scan walks
+/// its dense value/category/membership arrays, laid out in the ascending-
+/// ValueId order AllValues() iterates.
 Result<Dimension> TimesliceDimension(const Dimension& dimension, Chronon t,
-                                     Axis axis,
-                                     const RollupIndex* index = nullptr) {
+                                     Axis axis, const RollupIndex& index) {
   Dimension result(dimension.type_ptr());
-  if (index != nullptr) {
-    for (std::uint32_t d = 0; d < index->value_count(); ++d) {
-      if (d == index->top_dense()) continue;
-      const Lifespan& membership = index->MembershipOfDense(d);
-      if (!Component(membership, axis).Contains(t)) continue;
-      MDDC_RETURN_NOT_OK(result.AddValue(index->CategoryOfDense(d),
-                                         index->ValueOf(d),
-                                         Residual(membership, axis)));
-    }
-  } else {
-    for (ValueId value : dimension.AllValues()) {
-      if (value == dimension.top_value()) continue;
-      MDDC_ASSIGN_OR_RETURN(Lifespan membership,
-                            dimension.MembershipOf(value));
-      if (!Component(membership, axis).Contains(t)) continue;
-      MDDC_ASSIGN_OR_RETURN(CategoryTypeIndex category,
-                            dimension.CategoryOf(value));
-      MDDC_RETURN_NOT_OK(
-          result.AddValue(category, value, Residual(membership, axis)));
-    }
+  for (std::uint32_t d = 0; d < index.value_count(); ++d) {
+    if (d == index.top_dense()) continue;
+    const Lifespan& membership = index.MembershipOfDense(d);
+    if (!Component(membership, axis).Contains(t)) continue;
+    MDDC_RETURN_NOT_OK(result.AddValue(index.CategoryOfDense(d),
+                                       index.ValueOf(d),
+                                       Residual(membership, axis)));
   }
   for (const Dimension::Edge& edge : dimension.edges()) {
     if (!Component(edge.life, axis).Contains(t)) continue;
@@ -87,14 +70,7 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
   // No summarizability gate: every output cell depends only on one input
   // cell and `t`, so slicing is always safely parallel. A context asking
   // for parallelism on too small an input counts a fallback, like Join.
-  bool parallel = false;
-  if (exec != nullptr && exec->num_threads > 1) {
-    if (exec->WantsParallel(mo.fact_count())) {
-      parallel = true;
-    } else {
-      ++exec->stats.sequential_fallbacks;
-    }
-  }
+  const bool parallel = exec->WantsParallelOrFallsBack(mo.fact_count());
   if (parallel) {
     // Pure-read discipline: warm the lazily written closure memos before
     // any fan-out so workers (and concurrent readers of the operand)
@@ -104,83 +80,57 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
 
   // Compiled snapshots for the dense value scan. Obtained on the query
   // thread — For() may write the snapshot slot — so the fan-out below
-  // only reads them. The dense path needs no strictness gate (it uses
-  // only the value/category/membership arrays), so any context-carrying
-  // caller takes it, sequential included.
+  // only reads them. The dense scan needs no strictness gate (it uses
+  // only the value/category/membership arrays).
   std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      indexes[i] = RollupIndex::For(mo.dimension(i), &exec->stats);
-      ++exec->stats.index_hits;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    indexes[i] = RollupIndex::For(mo.dimension(i), &exec->stats);
+    ++exec->stats.index_hits;
   }
 
   // 1. Slice the dimensions, one independent result slot each; the first
   //    error in dimension order — the one the sequential loop would hit —
   //    is returned.
+  std::vector<std::optional<Result<Dimension>>> slots(n);
+  exec->RunTasks(parallel, n, [&](std::size_t i) {
+    slots[i].emplace(TimesliceDimension(mo.dimension(i), t, axis, *indexes[i]));
+  });
   std::vector<Dimension> dimensions;
   dimensions.reserve(n);
-  if (parallel) {
-    std::vector<std::optional<Result<Dimension>>> slots(n);
-    exec->pool().ParallelFor(n, [&](std::size_t i) {
-      slots[i].emplace(
-          TimesliceDimension(mo.dimension(i), t, axis, indexes[i].get()));
-    });
-    exec->stats.tasks += n;
-    for (std::size_t i = 0; i < n; ++i) {
-      MDDC_RETURN_NOT_OK(slots[i]->status());
-      dimensions.push_back(std::move(*slots[i]).ValueOrDie());
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      MDDC_ASSIGN_OR_RETURN(
-          Dimension sliced,
-          TimesliceDimension(mo.dimension(i), t, axis, indexes[i].get()));
-      dimensions.push_back(std::move(sliced));
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    MDDC_RETURN_NOT_OK(slots[i]->status());
+    dimensions.push_back(std::move(*slots[i]).ValueOrDie());
   }
   MdObject result(mo.schema().fact_type(), std::move(dimensions),
                   mo.registry(), new_type);
 
   // 2. Slice the fact-dimension relations. The surviving entries of one
   //    relation must be appended in entry order, but deciding survival
-  //    (and computing the residual lifespan) is a pure read — so the
-  //    parallel path filters contiguous entry chunks into per-chunk
-  //    slots and appends them in chunk order: byte-identical, no merge.
+  //    (and computing the residual lifespan) is a pure read — so
+  //    contiguous entry chunks (one when sequential) filter into
+  //    per-chunk slots appended in chunk order: byte-identical, no merge.
   std::vector<FactDimRelation> sliced(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::vector<FactDimRelation::Entry>& entries =
         mo.relation(i).entries();
     const Dimension& dimension = result.dimension(i);
-    if (parallel && !entries.empty()) {
-      const std::size_t chunks =
-          std::min(entries.size(), exec->num_threads * 4);
-      std::vector<std::vector<std::pair<std::size_t, Lifespan>>> kept(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        const std::size_t begin = chunk * entries.size() / chunks;
-        const std::size_t end = (chunk + 1) * entries.size() / chunks;
-        for (std::size_t e = begin; e < end; ++e) {
-          const FactDimRelation::Entry& entry = entries[e];
-          if (!Component(entry.life, axis).Contains(t)) continue;
-          if (!dimension.HasValue(entry.value)) continue;
-          kept[chunk].emplace_back(e, Residual(entry.life, axis));
-        }
-      });
-      exec->stats.tasks += chunks;
-      for (const auto& chunk : kept) {
-        for (const auto& [e, life] : chunk) {
-          MDDC_RETURN_NOT_OK(
-              sliced[i].Add(entries[e].fact, entries[e].value, life,
-                            entries[e].prob));
-        }
-      }
-    } else {
-      for (const FactDimRelation::Entry& entry : entries) {
+    const std::size_t chunks =
+        parallel ? std::min(entries.size(), exec->num_threads * 4) : 1;
+    std::vector<std::vector<std::pair<std::size_t, Lifespan>>> kept(chunks);
+    exec->RunTasks(parallel, chunks, [&](std::size_t chunk) {
+      const std::size_t begin = chunk * entries.size() / chunks;
+      const std::size_t end = (chunk + 1) * entries.size() / chunks;
+      for (std::size_t e = begin; e < end; ++e) {
+        const FactDimRelation::Entry& entry = entries[e];
         if (!Component(entry.life, axis).Contains(t)) continue;
         if (!dimension.HasValue(entry.value)) continue;
-        MDDC_RETURN_NOT_OK(sliced[i].Add(entry.fact, entry.value,
-                                         Residual(entry.life, axis),
-                                         entry.prob));
+        kept[chunk].emplace_back(e, Residual(entry.life, axis));
+      }
+    });
+    for (const auto& chunk : kept) {
+      for (const auto& [e, life] : chunk) {
+        MDDC_RETURN_NOT_OK(sliced[i].Add(entries[e].fact, entries[e].value,
+                                         life, entries[e].prob));
       }
     }
   }
@@ -190,40 +140,24 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
   //    coverage check is a pure read of the sliced relations, one flag
   //    slot per fact; facts are then added sequentially in fact order.
   const std::vector<FactId>& facts = mo.facts();
-  if (parallel && !facts.empty()) {
-    std::vector<unsigned char> covered(facts.size(), 0);
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      for (std::size_t f = begin; f < end; ++f) {
-        bool all = true;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!sliced[i].HasFact(facts[f])) {
-            all = false;
-            break;
-          }
-        }
-        covered[f] = all ? 1 : 0;
+  std::vector<unsigned char> covered(facts.size(), 1);
+  const std::size_t chunks =
+      parallel ? std::min(facts.size(), exec->num_threads * 4) : 1;
+  exec->RunTasks(parallel, chunks, [&](std::size_t chunk) {
+    const std::size_t begin = chunk * facts.size() / chunks;
+    const std::size_t end = (chunk + 1) * facts.size() / chunks;
+    for (std::size_t f = begin; f < end; ++f) {
+      for (std::size_t i = 0; i < n && covered[f] != 0; ++i) {
+        if (!sliced[i].HasFact(facts[f])) covered[f] = 0;
       }
-    });
-    exec->stats.tasks += chunks;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (covered[f] != 0) MDDC_RETURN_NOT_OK(result.AddFact(facts[f]));
     }
+  });
+  for (std::size_t f = 0; f < facts.size(); ++f) {
+    if (covered[f] != 0) MDDC_RETURN_NOT_OK(result.AddFact(facts[f]));
+  }
+  if (parallel) {
     ++exec->stats.parallel_runs;
     ++exec->stats.timeslice_parallel_runs;
-  } else {
-    for (FactId fact : facts) {
-      bool all = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!sliced[i].HasFact(fact)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) MDDC_RETURN_NOT_OK(result.AddFact(fact));
-    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     sliced[i].RestrictToFacts(result.facts());
@@ -237,6 +171,7 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
 
 Result<MdObject> ValidTimeslice(const MdObject& mo, Chronon t,
                                 ExecContext* exec) {
+  DefaultContext scope(exec);
   TemporalType new_type;
   switch (mo.temporal_type()) {
     case TemporalType::kValidTime:
@@ -256,6 +191,7 @@ Result<MdObject> ValidTimeslice(const MdObject& mo, Chronon t,
 
 Result<MdObject> TransactionTimeslice(const MdObject& mo, Chronon t,
                                       ExecContext* exec) {
+  DefaultContext scope(exec);
   TemporalType new_type;
   switch (mo.temporal_type()) {
     case TemporalType::kTransactionTime:
@@ -275,7 +211,8 @@ Result<MdObject> TransactionTimeslice(const MdObject& mo, Chronon t,
 
 Result<Dimension> ValidTimesliceDimension(const Dimension& dimension,
                                           Chronon t) {
-  return TimesliceDimension(dimension, t, Axis::kValid);
+  return TimesliceDimension(dimension, t, Axis::kValid,
+                            *RollupIndex::For(dimension));
 }
 
 }  // namespace mddc

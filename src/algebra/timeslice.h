@@ -12,7 +12,10 @@ struct ExecContext;  // engine/executor.h
 /// the parts of the MO valid at chronon `t` — category memberships, order
 /// relations, representations and fact-dimension pairs whose valid time
 /// contains `t` — with no valid time attached. The temporal type moves
-/// from valid-time to snapshot (or bitemporal to transaction-time).
+/// from valid-time to snapshot (or bitemporal to transaction-time). Each
+/// dimension's values are read from its compiled rollup snapshot's dense
+/// arrays (one index hit per dimension); a call without a context runs
+/// on a default one.
 ///
 /// With an ExecContext whose num_threads > 1 and a fact set of at least
 /// min_parallel_facts, the slice runs the parallel engine. Timeslicing

@@ -83,6 +83,10 @@ class FactRegistry {
   /// Looks up the structure of a fact.
   Result<FactTerm> Get(FactId id) const;
 
+  /// The term for `id`, resolving through the base chain, without copying
+  /// it; nullptr when unknown. Valid while the registry lives.
+  const FactTerm* FindTerm(FactId id) const;
+
   /// Number of interned terms, including everything visible through the
   /// base chain.
   std::size_t size() const { return base_size_ + terms_.size(); }
@@ -108,10 +112,6 @@ class FactRegistry {
     return const_cast<FlatHashIndex&>(
         static_cast<const FactRegistry*>(this)->TableFor(kind));
   }
-
-  /// The term for `id`, resolving through the base chain; nullptr when
-  /// unknown.
-  const FactTerm* FindTerm(FactId id) const;
 
   /// Frozen parent registry of a fork (null for a root); ids below
   /// base_size_ resolve through it.

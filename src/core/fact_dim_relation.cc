@@ -199,6 +199,21 @@ const std::vector<std::size_t>& FactDimRelation::EntryIndexesForValue(
 
 void FactDimRelation::SealIndexes() const { (void)SealIndexesReporting(); }
 
+std::vector<FactDimRelation::EntrySpan> FactDimRelation::EntrySpansFor(
+    const std::vector<FactId>& facts) const {
+  std::vector<EntrySpan> per_fact(facts.size());
+  const std::size_t* base = SpanEntryIndexes().data();
+  std::size_t f = 0;
+  for (const FactSpan& span : FactSpans()) {
+    while (f < facts.size() && facts[f] < span.fact) ++f;
+    if (f == facts.size()) break;
+    if (facts[f] == span.fact) {
+      per_fact[f] = EntrySpan{base + span.begin, span.end - span.begin};
+    }
+  }
+  return per_fact;
+}
+
 bool FactDimRelation::TryExtendCsrTailLocked() const {
   // Nothing sealed yet (or the layout was dropped): only a rebuild can
   // establish the view.

@@ -107,6 +107,11 @@ class FactDimRelation {
     return span_entries_;
   }
 
+  /// Entry runs aligned to a sorted fact list: `[f]` is facts[f]'s run,
+  /// empty when the fact has no entries — one pointer sweep of the CSR
+  /// view against the list instead of one lookup per fact.
+  std::vector<EntrySpan> EntrySpansFor(const std::vector<FactId>& facts) const;
+
   /// Builds the CSR view now (the seal step of snapshot publication calls
   /// this so published epochs never build indexes under readers).
   void SealIndexes() const;

@@ -87,10 +87,8 @@ class Arena {
   std::size_t resets_ = 0;
 };
 
-/// A nullable std-allocator adapter over Arena. With a null arena it is
-/// exactly the default heap allocator — the sequential baseline and the
-/// arena-backed execution path share one code path and one container
-/// type, which is what keeps them byte-identical by construction.
+/// A nullable std-allocator adapter over Arena: with a null arena (a
+/// default-constructed container) it is the default heap allocator.
 /// Deallocation into an arena is a no-op; memory is reclaimed wholesale
 /// by Arena::Reset at end of statement.
 template <typename T>

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,8 +141,7 @@ struct ExecStats {
   std::size_t dense_groupby_runs = 0;
   /// Group-bys answered by the open-addressing flat-hash kernel: an
   /// aggregate formation whose slot space was too large or not fully
-  /// indexed, a relational group-by, or a pre-aggregate rollup merge —
-  /// whenever an execution context is supplied.
+  /// indexed, a relational group-by, or a pre-aggregate rollup merge.
   std::size_t flat_hash_runs = 0;
   /// Aggregate formations that were structurally dense (all grouping
   /// dimensions indexed) but whose slot cross-product exceeded
@@ -210,11 +210,13 @@ struct ExecStats {
 
 /// Execution context threaded through AggregateFormation, Join, the
 /// timeslice operators, PreAggregateCache::Query/Materialize,
-/// relational::Aggregate and mdql::Session::Execute. The default context
-/// (num_threads = 1) is exactly the sequential engine, so every caller
-/// that does not pass a context is unchanged. A context is owned by one
-/// query thread; the operators it is passed to fan work out to the
-/// shared pool internally, but the context itself is not thread-safe.
+/// relational::Aggregate and mdql::Session::Execute. An operator called
+/// without one runs on a default context (DefaultContext below), so a
+/// context-free call is exactly the sequential engine a default context
+/// (num_threads = 1) runs: there is no second engine behind a null
+/// pointer. A context is owned by one query thread; the operators it is
+/// passed to fan work out to the shared pool internally, but the context
+/// itself is not thread-safe.
 struct ExecContext {
   ExecContext() = default;
   ExecContext(std::size_t threads, std::size_t min_facts)
@@ -229,8 +231,7 @@ struct ExecContext {
   /// (it costs ~4 bytes of slot indirection per slot); groupings whose
   /// cross-product of grouping-category cardinalities exceeds this use
   /// the flat-hash kernel instead (stats.dense_slot_fallbacks counts
-  /// the demotions). Exposed so tests and tuning can move the boundary;
-  /// context-free group-bys plan against the same default.
+  /// the demotions). Exposed so tests and tuning can move the boundary.
   static constexpr std::uint64_t kDefaultMaxDenseGroupbySlots =
       std::uint64_t{1} << 22;
   std::uint64_t max_dense_groupby_slots = kDefaultMaxDenseGroupbySlots;
@@ -243,6 +244,16 @@ struct ExecContext {
     return num_threads > 1 && input_size >= min_parallel_facts;
   }
 
+  /// WantsParallel for a Join or Timeslice: asking for parallelism on an
+  /// input too small for partitioning to pay off counts a
+  /// stats.sequential_fallbacks.
+  bool WantsParallelOrFallsBack(std::size_t input_size) {
+    if (num_threads > 1 && !WantsParallel(input_size)) {
+      ++stats.sequential_fallbacks;
+    }
+    return WantsParallel(input_size);
+  }
+
   /// The pool the context's operators fan out to: the process-wide
   /// shared pool, borrowed on first use and cached for the context's
   /// lifetime. Attaching to a pool some earlier context already created
@@ -250,6 +261,19 @@ struct ExecContext {
   /// num_threads, never the borrowed pool's size, so results do not
   /// depend on who created the pool first.
   ThreadPool& pool();
+
+  /// Runs fn(i) for every i in [0, n): on pool() when `parallel`
+  /// (counting n stats.tasks), else inline in ascending order — one body
+  /// for an operator's parallel and sequential paths.
+  void RunTasks(bool parallel, std::size_t n,
+                const std::function<void(std::size_t)>& fn) {
+    if (!parallel) {
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+      return;
+    }
+    pool().ParallelFor(n, fn);
+    stats.tasks += n;
+  }
 
   /// The coordinator's bump arena for query-lifetime scratch. Operators
   /// allocate temporaries here (via ArenaAllocator) and ResetQueryArenas
@@ -288,6 +312,20 @@ struct ExecContext {
  private:
   ThreadPool* borrowed_ = nullptr;
   std::vector<std::unique_ptr<Arena>> worker_arenas_;
+};
+
+/// Resolves an operator's optional context once, at its entry: after
+/// `DefaultContext scope(exec);` the pointer is never null — it names the
+/// caller's context, or a default context the scope owns for the call.
+/// Nothing below the entry tests the pointer again.
+class DefaultContext {
+ public:
+  explicit DefaultContext(ExecContext*& exec) {
+    if (!exec) exec = &local_.emplace();
+  }
+
+ private:
+  std::optional<ExecContext> local_;
 };
 
 }  // namespace mddc

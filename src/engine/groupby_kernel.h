@@ -16,8 +16,8 @@ namespace mddc {
 /// compiled rollup index, and the open-addressing flat-hash group index the
 /// sparse paths (and relational group-by) fall back to. Both exist to kill
 /// the per-fact heap-allocated GroupKey and the std::map node churn of the
-/// ordered-map baseline; the baseline itself stays untouched as the
-/// no-context differential ground truth.
+/// ordered-map reference evaluator (ReferenceAggregateFormation), which
+/// stays the differential ground truth.
 
 /// FNV-1a over `n` surrogate ids, byte by byte — the group-key hash shared
 /// by the flat-hash group index and the parallel partitioner, so a key's
@@ -29,7 +29,7 @@ std::uint64_t HashValueIds(const ValueId* ids, std::size_t n);
 /// digit is the rank of the coordinate value within its grouping category
 /// (categories are sorted by ValueId in the rollup snapshot), so ascending
 /// slot order IS the lexicographic ValueId key order of the ordered-map
-/// baseline — canonical output order falls out of the layout instead of a
+/// reference — canonical output order falls out of the layout instead of a
 /// sort. Top-grouped dimensions are never axes: their single value adds
 /// no digit.
 ///

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "engine/executor.h"
 #include "engine/groupby_kernel.h"
 #include "engine/rollup_index.h"
 
@@ -31,6 +32,14 @@ double Merge(AggregateFunctionKind kind, double a, double b) {
   return a;
 }
 
+/// The bottom aggregation type of a cached result's result dimension —
+/// what FindReusable gates reuse on.
+AggregationType ResultAggType(const MdObject& result) {
+  const DimensionType& type =
+      result.dimension(result.dimension_count() - 1).type();
+  return type.AggType(type.bottom());
+}
+
 }  // namespace
 
 PreAggregateCache::PreAggregateCache(MdObject base)
@@ -49,6 +58,7 @@ const MdObject* PreAggregateCache::Peek(
 Result<MdObject> PreAggregateCache::Query(
     const AggFunction& function,
     const std::vector<CategoryTypeIndex>& grouping, ExecContext* exec) {
+  DefaultContext scope(exec);
   Key key{function.name(), grouping};
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++stats_.exact_hits;
@@ -61,12 +71,9 @@ Result<MdObject> PreAggregateCache::Query(
     auto rolled = RollUpCached(*reusable, function, grouping, exec);
     if (rolled.ok()) {
       ++stats_.rollup_hits;
-      Entry entry{grouping, *rolled, AggregationType::kConstant, function,
-                  AggregateFoldState{}};
-      const DimensionType& result_type =
-          rolled->dimension(rolled->dimension_count() - 1).type();
-      entry.result_agg_type = result_type.AggType(result_type.bottom());
-      entries_.emplace(std::move(key), std::move(entry));
+      entries_.emplace(std::move(key),
+                       Entry{grouping, *rolled, ResultAggType(*rolled),
+                             function, AggregateFoldState{}});
       return rolled;
     }
     // A non-strict step between the cached and requested categories makes
@@ -76,19 +83,8 @@ Result<MdObject> PreAggregateCache::Query(
     ++stats_.reuse_refusals;
   }
 
-  AggregateFoldState fold;
-  AggregateSpec spec{function, grouping, ResultDimensionSpec::Auto(),
-                     kNowChronon, true, false, &fold};
-  MDDC_ASSIGN_OR_RETURN(MdObject result,
-                        AggregateFormation(*base_, spec, exec));
-  ++stats_.base_scans;
-  Entry entry{grouping, result, AggregationType::kConstant, function,
-              std::move(fold)};
-  const DimensionType& result_type =
-      result.dimension(result.dimension_count() - 1).type();
-  entry.result_agg_type = result_type.AggType(result_type.bottom());
-  entries_.emplace(std::move(key), std::move(entry));
-  return result;
+  MDDC_RETURN_NOT_OK(MaterializeResumable(function, grouping, exec));
+  return entries_.at(key).result;
 }
 
 Status PreAggregateCache::Materialize(
@@ -110,18 +106,16 @@ Status PreAggregateCache::MaterializeResumable(
   MDDC_ASSIGN_OR_RETURN(MdObject result,
                         AggregateFormation(*base_, spec, exec));
   ++stats_.base_scans;
-  Entry entry{grouping, std::move(result), AggregationType::kConstant,
-              function, std::move(fold)};
-  const DimensionType& result_type =
-      entry.result.dimension(entry.result.dimension_count() - 1).type();
-  entry.result_agg_type = result_type.AggType(result_type.bottom());
-  entries_.emplace(std::move(key), std::move(entry));
+  const AggregationType agg_type = ResultAggType(result);
+  entries_.emplace(std::move(key), Entry{grouping, std::move(result), agg_type,
+                                         function, std::move(fold)});
   return Status::OK();
 }
 
 Result<PreAggregateCache> PreAggregateCache::FoldAppend(
     std::shared_ptr<const MdObject> new_base,
     const std::vector<FactId>& delta_facts, ExecContext* exec) const {
+  DefaultContext scope(exec);
   PreAggregateCache next(std::move(new_base));
   for (const auto& [key, entry] : entries_) {
     AggregateFoldState refreshed;
@@ -139,22 +133,19 @@ Result<PreAggregateCache> PreAggregateCache::FoldAppend(
       // path below, exactly today's invalidate-and-recompute.
     }
     if (folded.has_value()) {
-      if (exec != nullptr) ++exec->stats.preagg_folds;
+      ++exec->stats.preagg_folds;
     } else {
-      if (exec != nullptr) ++exec->stats.preagg_fold_invalidations;
+      ++exec->stats.preagg_fold_invalidations;
       refreshed = AggregateFoldState{};  // drop any partial capture
       MDDC_ASSIGN_OR_RETURN(MdObject rescanned,
                             AggregateFormation(*next.base_, spec, exec));
       ++next.stats_.base_scans;
       folded = std::move(rescanned);
     }
-    Entry fresh{entry.grouping, std::move(*folded),
-                AggregationType::kConstant, entry.function,
-                std::move(refreshed)};
-    const DimensionType& result_type =
-        fresh.result.dimension(fresh.result.dimension_count() - 1).type();
-    fresh.result_agg_type = result_type.AggType(result_type.bottom());
-    next.entries_.emplace(key, std::move(fresh));
+    const AggregationType agg_type = ResultAggType(*folded);
+    next.entries_.emplace(key, Entry{entry.grouping, std::move(*folded),
+                                     agg_type, entry.function,
+                                     std::move(refreshed)});
   }
   return next;
 }
@@ -210,21 +201,19 @@ Result<MdObject> PreAggregateCache::RollUpCached(
 
   // Compiled snapshots of the cached dimensions: under the strictness
   // gate the per-group ancestor-at-category step below becomes one
-  // flat-table lookup. Dimensions whose gate fails (or callers without a
-  // context) keep the AncestorsIn traversal — same key either way, since
-  // the flat table is compiled from the very same closure.
+  // flat-table lookup. Dimensions whose gate fails keep the AncestorsIn
+  // traversal — same key either way, since the flat table is compiled
+  // from the very same closure.
   std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cached_categories[i] == cached.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(cached.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cached_categories[i] == cached.dimension(i).type().top()) continue;
+    std::shared_ptr<const RollupIndex> index =
+        RollupIndex::For(cached.dimension(i), &exec->stats);
+    if (index->has_flat_table()) {
+      indexes[i] = std::move(index);
+      ++exec->stats.index_hits;
+    } else {
+      ++exec->stats.index_fallbacks;
     }
   }
 
@@ -233,43 +222,26 @@ Result<MdObject> PreAggregateCache::RollUpCached(
     double value = 0.0;
     bool first = true;
   };
-  // Merge-key interning: the flat-hash engine (docs/groupby_kernel.md)
-  // for any caller with an execution context — keys live in one
-  // fixed-stride buffer probed through the open-addressing index — and
-  // the ordered map as the context-free differential baseline. Either
-  // way the assembly below walks the groups in lexicographic key order.
-  const bool use_flat = exec != nullptr;
-  std::map<std::vector<ValueId>, Merged> merged;
+  // Merge-key interning on the flat-hash engine (docs/groupby_kernel.md):
+  // keys live in one fixed-stride buffer probed through the
+  // open-addressing index; the assembly below sorts them into
+  // lexicographic key order.
   FlatHashGroupIndex flat_index;
   std::vector<ValueId> key_storage;  // stride n
   std::vector<Merged> flat_slots;
-  if (use_flat) ++exec->stats.flat_hash_runs;
+  ++exec->stats.flat_hash_runs;
   const std::size_t result_dim = cached.dimension_count() - 1;
 
   // CSR lockstep (docs/memory_layout.md): cached.facts() is sorted, so a
   // single pointer sweep over each relation's span view replaces one hash
   // probe per (group, dimension).
   const std::vector<FactId>& groups = cached.facts();
-  auto sweep = [&groups](const FactDimRelation& relation) {
-    std::vector<FactDimRelation::EntrySpan> per_fact(groups.size());
-    const std::size_t* base = relation.SpanEntryIndexes().data();
-    std::size_t f = 0;
-    for (const FactDimRelation::FactSpan& span : relation.FactSpans()) {
-      while (f < groups.size() && groups[f] < span.fact) ++f;
-      if (f == groups.size()) break;
-      if (groups[f] == span.fact) {
-        per_fact[f] = FactDimRelation::EntrySpan{base + span.begin,
-                                                 span.end - span.begin};
-      }
-    }
-    return per_fact;
-  };
   std::vector<std::vector<FactDimRelation::EntrySpan>> group_entries(n);
   for (std::size_t i = 0; i < n; ++i) {
-    group_entries[i] = sweep(cached.relation(i));
+    group_entries[i] = cached.relation(i).EntrySpansFor(groups);
   }
   const std::vector<FactDimRelation::EntrySpan> result_entries =
-      sweep(cached.relation(result_dim));
+      cached.relation(result_dim).EntrySpansFor(groups);
 
   std::vector<ValueId> key(n);
   for (std::size_t f = 0; f < groups.size(); ++f) {
@@ -328,27 +300,21 @@ Result<MdObject> PreAggregateCache::RollUpCached(
             .NumericValueOf(
                 result_relation.entries()[result_pairs.front()].value));
     MDDC_ASSIGN_OR_RETURN(FactTerm term, cached.registry()->Get(group));
-    Merged* slot;
-    if (use_flat) {
-      const std::uint64_t hash = HashValueIds(key.data(), n);
-      bool inserted = false;
-      const std::uint32_t g = flat_index.FindOrInsert(
-          hash, static_cast<std::uint32_t>(flat_slots.size()),
-          [&](std::uint32_t ordinal) {
-            return std::equal(
-                key.begin(), key.end(),
-                key_storage.begin() +
-                    static_cast<std::ptrdiff_t>(ordinal * n));
-          },
-          &inserted);
-      if (inserted) {
-        key_storage.insert(key_storage.end(), key.begin(), key.end());
-        flat_slots.emplace_back();
-      }
-      slot = &flat_slots[g];
-    } else {
-      slot = &merged[key];
+    const std::uint64_t hash = HashValueIds(key.data(), n);
+    bool inserted = false;
+    const std::uint32_t g = flat_index.FindOrInsert(
+        hash, static_cast<std::uint32_t>(flat_slots.size()),
+        [&](std::uint32_t ordinal) {
+          return std::equal(key.begin(), key.end(),
+                            key_storage.begin() +
+                                static_cast<std::ptrdiff_t>(ordinal * n));
+        },
+        &inserted);
+    if (inserted) {
+      key_storage.insert(key_storage.end(), key.begin(), key.end());
+      flat_slots.emplace_back();
     }
+    Merged* slot = &flat_slots[g];
     slot->members.insert(slot->members.end(), term.members.begin(),
                          term.members.end());
     slot->value = slot->first ? partial
@@ -356,24 +322,16 @@ Result<MdObject> PreAggregateCache::RollUpCached(
     slot->first = false;
   }
 
-  // Canonical lexicographic key order over either engine's storage.
+  // Canonical lexicographic key order.
   std::vector<std::pair<const ValueId*, const Merged*>> ordered;
-  if (use_flat) {
-    ordered.reserve(flat_slots.size());
-    for (std::size_t g = 0; g < flat_slots.size(); ++g) {
-      ordered.push_back({key_storage.data() + g * n, &flat_slots[g]});
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [n](const auto& a, const auto& b) {
-                return std::lexicographical_compare(
-                    a.first, a.first + n, b.first, b.first + n);
-              });
-  } else {
-    ordered.reserve(merged.size());
-    for (const auto& [map_key, slot] : merged) {
-      ordered.push_back({map_key.data(), &slot});
-    }
+  ordered.reserve(flat_slots.size());
+  for (std::size_t g = 0; g < flat_slots.size(); ++g) {
+    ordered.push_back({key_storage.data() + g * n, &flat_slots[g]});
   }
+  std::sort(ordered.begin(), ordered.end(), [n](const auto& a, const auto& b) {
+    return std::lexicographical_compare(a.first, a.first + n, b.first,
+                                        b.first + n);
+  });
 
   // Assemble the rolled-up MO: argument dimensions restricted above the
   // requested categories plus a fresh auto result dimension.

@@ -126,12 +126,12 @@ class PreAggregateCache {
                             bool* refused_due_to_type);
 
   /// Rolls a cached aggregate up to the coarser grouping by re-grouping
-  /// its set-facts and merging their partial results. With `exec`, the
-  /// per-group rollup step consults the cached dimensions' compiled
-  /// rollup snapshots (engine/rollup_index.h): under the strictness gate
-  /// the unique ancestor at the requested category is one flat-table
-  /// lookup instead of an AncestorsIn traversal, counted in
-  /// exec->stats.index_hits / index_fallbacks.
+  /// its set-facts and merging their partial results on the flat-hash
+  /// engine. The per-group rollup step consults the cached dimensions'
+  /// compiled rollup snapshots (engine/rollup_index.h): under the
+  /// strictness gate the unique ancestor at the requested category is one
+  /// flat-table lookup instead of an AncestorsIn traversal, counted in
+  /// exec->stats.index_hits / index_fallbacks. `exec` is never null here.
   Result<MdObject> RollUpCached(
       const Entry& entry, const AggFunction& function,
       const std::vector<CategoryTypeIndex>& grouping,

@@ -37,19 +37,18 @@ Result<std::vector<CategoryTypeIndex>> ResolveGrouping(
 
 Result<ValueId> ResolveValueByName(const MdObject& mo,
                                    const ResolvedLevel& level,
-                                   const std::string& text,
-                                   ExecContext* exec) {
+                                   const std::string& text, ExecStats& stats) {
   const Dimension& dimension = mo.dimension(level.dim);
   for (const auto& [category, rep_name, rep] :
        dimension.AllRepresentations()) {
     if (category != level.category) continue;
     auto value = rep->Lookup(text);
     if (value.ok()) {
-      if (exec != nullptr) ++exec->stats.interner_hits;
+      ++stats.interner_hits;
       return value;
     }
   }
-  if (exec != nullptr) ++exec->stats.interner_misses;
+  ++stats.interner_misses;
   return Status::NotFound(StrCat("no value named '", text,
                                  "' in category '",
                                  dimension.type().category(level.category).name,
@@ -75,12 +74,12 @@ namespace {
 Predicate False() { return Predicate::True().Not(); }
 
 Result<Predicate> BuildAtom(const MdObject& mo, const WhereAtom& atom,
-                            ExecContext* exec) {
+                            ExecStats& stats) {
   Predicate leaf = Predicate::True();
   switch (atom.kind) {
     case WhereAtom::Kind::kNameEquals: {
       MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, atom.level));
-      auto value = ResolveValueByName(mo, level, atom.text, exec);
+      auto value = ResolveValueByName(mo, level, atom.text, stats);
       leaf = value.ok() ? Predicate::CharacterizedBy(level.dim, *value)
                         : False();
       break;
@@ -121,7 +120,7 @@ Result<Predicate> BuildAtom(const MdObject& mo, const WhereAtom& atom,
       }
       case WhereAtom::Kind::kProbAtLeast: {
         MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, atom.level));
-        auto value = ResolveValueByName(mo, level, atom.text, exec);
+        auto value = ResolveValueByName(mo, level, atom.text, stats);
         leaf = value.ok()
                    ? Predicate::MinProbability(level.dim, *value, atom.number)
                    : False();
@@ -135,20 +134,20 @@ Result<Predicate> BuildAtom(const MdObject& mo, const WhereAtom& atom,
 }  // namespace
 
 Result<Predicate> BuildWhere(const MdObject& mo, const WhereExpr& expr,
-                             ExecContext* exec) {
+                             ExecStats& stats) {
   switch (expr.kind) {
     case WhereExpr::Kind::kAtom:
-      return BuildAtom(mo, expr.atom, exec);
+      return BuildAtom(mo, expr.atom, stats);
     case WhereExpr::Kind::kAnd: {
-      MDDC_ASSIGN_OR_RETURN(Predicate left, BuildWhere(mo, *expr.left, exec));
+      MDDC_ASSIGN_OR_RETURN(Predicate left, BuildWhere(mo, *expr.left, stats));
       MDDC_ASSIGN_OR_RETURN(Predicate right,
-                            BuildWhere(mo, *expr.right, exec));
+                            BuildWhere(mo, *expr.right, stats));
       return left.And(std::move(right));
     }
     case WhereExpr::Kind::kOr: {
-      MDDC_ASSIGN_OR_RETURN(Predicate left, BuildWhere(mo, *expr.left, exec));
+      MDDC_ASSIGN_OR_RETURN(Predicate left, BuildWhere(mo, *expr.left, stats));
       MDDC_ASSIGN_OR_RETURN(Predicate right,
-                            BuildWhere(mo, *expr.right, exec));
+                            BuildWhere(mo, *expr.right, stats));
       return left.Or(std::move(right));
     }
   }
@@ -179,6 +178,7 @@ Result<AggFunction> BuildAggFunction(const MdObject& mo, const AggRef& agg) {
 Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
                                           const SelectStatement& select,
                                           ExecContext* exec) {
+  DefaultContext scope(exec);
   MdObject mo = source;
   if (select.as_of.has_value()) {
     // ASOF 'NOW' slices at the growing NOW sentinel: memberships and
@@ -203,11 +203,13 @@ Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
 
   if (select.where != nullptr) {
     MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                          BuildWhere(mo, *select.where, exec));
+                          BuildWhere(mo, *select.where, exec->stats));
     MDDC_ASSIGN_OR_RETURN(mo, Select(mo, predicate));
   }
 
   // Resolve grouping columns once.
+  MDDC_ASSIGN_OR_RETURN(const std::vector<CategoryTypeIndex> grouping,
+                        ResolveGrouping(mo, select.group_by));
   std::vector<SqlGroupBy> group_by;
   for (const GroupRef& group : select.group_by) {
     MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, group.level));
@@ -221,9 +223,12 @@ Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
   for (std::size_t a = 0; a < select.aggregates.size(); ++a) {
     MDDC_ASSIGN_OR_RETURN(AggFunction function,
                           BuildAggFunction(mo, select.aggregates[a]));
+    const AggregateSpec spec{function, grouping, ResultDimensionSpec::Auto(),
+                             kNowChronon, true};
+    MDDC_ASSIGN_OR_RETURN(MdObject aggregated,
+                          ReferenceAggregateFormation(mo, spec));
     MDDC_ASSIGN_OR_RETURN(std::vector<SqlRow> rows,
-                          SqlAggregate(mo, group_by, function, kNowChronon,
-                                       exec));
+                          SqlRowsOf(aggregated, group_by, kNowChronon));
     for (SqlRow& row : rows) {
       auto [it, inserted] = merged.try_emplace(
           row.group,

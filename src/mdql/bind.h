@@ -13,6 +13,7 @@
 namespace mddc {
 
 struct ExecContext;  // engine/executor.h
+struct ExecStats;    // engine/executor.h
 
 namespace mdql {
 
@@ -38,12 +39,11 @@ Result<std::vector<CategoryTypeIndex>> ResolveGrouping(
 /// Finds the dimension value named `text` in the given category by
 /// trying every representation registered for it. NotFound if no
 /// representation knows the name. Each probe is an interned-hash lookup
-/// (no key string materialized); `exec` (optional) counts resolutions
-/// into stats.interner_hits / interner_misses.
+/// (no key string materialized); resolutions count into
+/// stats.interner_hits / interner_misses.
 Result<ValueId> ResolveValueByName(const MdObject& mo,
                                    const ResolvedLevel& level,
-                                   const std::string& text,
-                                   ExecContext* exec);
+                                   const std::string& text, ExecStats& stats);
 
 /// Picks the labeling representation for a grouping column: an explicit
 /// request, else the first of Name / Code / Value that exists.
@@ -53,15 +53,17 @@ std::string PickRepresentation(const MdObject& mo, const ResolvedLevel& level,
 /// Compiles a WHERE tree to an algebra predicate. An unknown value name
 /// yields a predicate matching nothing (NOT then matches everything).
 Result<Predicate> BuildWhere(const MdObject& mo, const WhereExpr& expr,
-                             ExecContext* exec);
+                             ExecStats& stats);
 
 /// Binds one SELECT-list aggregate to its algebra function.
 Result<AggFunction> BuildAggFunction(const MdObject& mo, const AggRef& agg);
 
 /// The tree-walk interpreter for SELECT: timeslice, then a materialized
-/// Select, then one full AggregateFormation per aggregate, merged by
-/// group labels. The reference the compiled plan walk is compared
-/// against; a session reaches it only with enable_compiler = false.
+/// Select, then one ReferenceAggregateFormation per aggregate, merged by
+/// group labels. The reference evaluator the compiled plan walk is
+/// compared against — its group-bys run the ordered-map reference, not
+/// the group-by core the plan walk runs; a session reaches it only with
+/// enable_compiler = false.
 Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
                                           const SelectStatement& select,
                                           ExecContext* exec);

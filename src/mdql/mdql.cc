@@ -82,6 +82,7 @@ Result<QueryResult> ApplyInsert(MdObject& mo, const InsertStatement& insert) {
   };
   std::vector<std::vector<Resolved>> resolved;
   resolved.reserve(insert.facts.size());
+  ExecStats uncounted;  // a write's name lookups feed no read counters
   for (const InsertFact& fact : insert.facts) {
     if (fact.assignments.empty()) {
       return Status::InvalidArgument(
@@ -91,9 +92,8 @@ Result<QueryResult> ApplyInsert(MdObject& mo, const InsertStatement& insert) {
     per_fact.reserve(fact.assignments.size());
     for (const InsertAssignment& assign : fact.assignments) {
       MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, assign.level));
-      MDDC_ASSIGN_OR_RETURN(ValueId value,
-                            ResolveValueByName(mo, level, assign.text,
-                                               /*exec=*/nullptr));
+      MDDC_ASSIGN_OR_RETURN(
+          ValueId value, ResolveValueByName(mo, level, assign.text, uncounted));
       if (assign.prob < 0.0 || assign.prob > 1.0) {
         return Status::InvalidArgument(
             StrCat("probability out of [0,1]: ", assign.prob));
@@ -173,10 +173,11 @@ Result<QueryResult> Session::Execute(const std::string& query,
 
 Result<QueryResult> Session::Execute(const Statement& statement,
                                      ExecContext* exec) {
+  DefaultContext scope(exec);
   Result<QueryResult> result = ExecuteImpl(statement, exec);
   // Statement boundary: rewind the query-lifetime arenas (a no-op when
   // the statement's operators reclaimed their scratch already).
-  if (exec != nullptr) exec->ResetQueryArenas();
+  exec->ResetQueryArenas();
   return result;
 }
 
@@ -211,7 +212,7 @@ Result<QueryResult> Session::ExecuteImpl(const Statement& statement,
           hit != plan_cache_.end() && hit->second.version == version &&
           hit->second.mo == &it->second) {
         plan = hit->second.plan;
-        if (exec != nullptr) ++exec->stats.plan_cache_hits;
+        ++exec->stats.plan_cache_hits;
       }
     }
     if (plan == nullptr) {

@@ -69,6 +69,7 @@ const PlanRef& StreamInput(const PlanNode& aggregate) {
 /// other than the timeslice that it materializes.
 class PlanWalk {
  public:
+  /// `exec` must not be null.
   explicit PlanWalk(ExecContext* exec) : exec_(exec) {}
 
   Result<MoRef> Input(const PlanRef& node) {
@@ -121,7 +122,7 @@ Result<MoRef> PlanWalk::Materialize(const PlanNode& node) {
       if (node.where == nullptr) return child;
       ++interior_;
       MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                            BuildWhere(*child, *node.where, exec_));
+                            BuildWhere(*child, *node.where, exec_->stats));
       MDDC_ASSIGN_OR_RETURN(MdObject selected, Select(*child, predicate));
       return std::make_shared<const MdObject>(std::move(selected));
     }
@@ -173,10 +174,8 @@ Status PlanWalk::Stream(const PlanNode& aggregate, std::size_t first,
   std::vector<bool> keep;
   if (const PlanNode* select = KeepMaskSelect(aggregate)) {
     MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                          BuildWhere(mo, *select->where, exec_));
-    MDDC_ASSIGN_OR_RETURN(
-        keep,
-        predicate.EvaluateAll(mo, exec_ != nullptr ? &exec_->stats : nullptr));
+                          BuildWhere(mo, *select->where, exec_->stats));
+    MDDC_ASSIGN_OR_RETURN(keep, predicate.EvaluateAll(mo, &exec_->stats));
   }
 
   MDDC_ASSIGN_OR_RETURN(const std::vector<CategoryTypeIndex> grouping,
@@ -305,6 +304,7 @@ std::string DescribeInput(const PlanNode& node, bool* interior) {
 }  // namespace
 
 Result<QueryResult> ExecutePlan(const PlanRef& plan, ExecContext* exec) {
+  DefaultContext scope(exec);
   MDDC_ASSIGN_OR_RETURN(std::vector<const PlanNode*> branches,
                         Branches(plan));
   QueryResult result;
@@ -332,15 +332,14 @@ Result<QueryResult> ExecutePlan(const PlanRef& plan, ExecContext* exec) {
     row.insert(row.end(), values.begin(), values.end());
     result.rows.push_back(std::move(row));
   }
-  if (exec != nullptr) {
-    ++(walk.one_scan() ? exec->stats.fused_pipelines
-                       : exec->stats.plan_fallbacks);
-  }
+  ++(walk.one_scan() ? exec->stats.fused_pipelines
+                     : exec->stats.plan_fallbacks);
   return result;
 }
 
 Result<std::shared_ptr<const MdObject>> MaterializePlan(const PlanRef& plan,
                                                         ExecContext* exec) {
+  DefaultContext scope(exec);
   if (plan == nullptr) return Status::InvalidArgument("null plan");
   PlanWalk walk(exec);
   return walk.Input(plan);
@@ -373,9 +372,11 @@ Result<QueryResult> ExplainStatement(const MdObject& source,
   PlanRef plan = LowerSelect(select.mo_name, &source, select);
   line("logical plan:");
   plan_lines(PrintPlan(plan));
-  // EXPLAIN must not perturb counters: the rewriter gets no context.
+  // EXPLAIN must not perturb counters: the rewriter counts into a scratch
+  // context.
+  ExecContext scratch;
   RewriteOutcome rewritten =
-      Rewrite(std::move(plan), options.rewrites, /*exec=*/nullptr);
+      Rewrite(std::move(plan), options.rewrites, &scratch);
   if (rewritten.fired.empty()) {
     line("rewrites: none");
   } else {

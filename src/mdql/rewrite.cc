@@ -297,6 +297,7 @@ PlanRef CollapseRollup(PlanRef root, std::vector<std::string>& fired) {
 
 RewriteOutcome Rewrite(PlanRef plan, const RewriteOptions& options,
                        ExecContext* exec) {
+  DefaultContext scope(exec);
   RewriteOutcome out;
   out.plan = std::move(plan);
   if (out.plan == nullptr) return out;
@@ -323,10 +324,7 @@ RewriteOutcome Rewrite(PlanRef plan, const RewriteOptions& options,
     }
     if (out.fired.size() == before) break;
   }
-  if (exec != nullptr) {
-    exec->stats.rewrites_applied +=
-        static_cast<std::uint64_t>(out.fired.size());
-  }
+  exec->stats.rewrites_applied += static_cast<std::uint64_t>(out.fired.size());
   return out;
 }
 

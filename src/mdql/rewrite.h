@@ -49,8 +49,8 @@ struct RewriteOutcome {
 /// rewritten in place (plans are single-statement values); the returned
 /// root may differ from the input when a root-level pattern fired.
 /// `exec` (optional) advances stats.rewrites_applied by the number of
-/// applications — EXPLAIN passes null so plan display never perturbs
-/// counters.
+/// applications — EXPLAIN passes a scratch context so plan display never
+/// perturbs the caller's counters.
 RewriteOutcome Rewrite(PlanRef plan, const RewriteOptions& options,
                        ExecContext* exec = nullptr);
 

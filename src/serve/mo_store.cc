@@ -71,7 +71,8 @@ MoStore::MoStore() {
 }
 
 Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
-    MdObject draft, const std::vector<WarmSpec>& specs) {
+    MdObject draft, const std::vector<WarmSpec>& specs, ExecStats* stats) {
+  ExecContext exec;
   // The sealed MO is shared between the epoch bundle and the warm cache
   // below (its base), so the seal step itself never copies the draft.
   // Every remaining step — memo warming, rollup compilation, CSR seals,
@@ -93,7 +94,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
   std::vector<std::shared_ptr<const RollupIndex>> rollups;
   rollups.reserve(mo.dimension_count());
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    rollups.push_back(RollupIndex::For(mo.dimension(i)));
+    rollups.push_back(RollupIndex::For(mo.dimension(i), &exec.stats));
   }
 
   std::shared_ptr<const PreAggregateCache> preagg;
@@ -104,7 +105,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
       // state is what lets a later AppendBatch delta-fold the entry
       // instead of rescanning (docs/ingestion.md).
       MDDC_RETURN_NOT_OK(
-          cache->MaterializeResumable(spec.function, spec.grouping));
+          cache->MaterializeResumable(spec.function, spec.grouping, &exec));
     }
     // The cached result MOs are published too (readers Peek them), so
     // they get the same treatment as the base MO.
@@ -117,6 +118,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
   }
 
   mo.WarmAndFreezeForPublish();
+  if (stats != nullptr) stats->MergeFrom(exec.stats);
   return std::shared_ptr<const PublishedMo>(std::make_shared<PublishedMo>(
       PublishedMo{std::move(shared), std::move(rollups), std::move(preagg)}));
 }
@@ -172,7 +174,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
     }
     for (const WarmSpec& spec : specs) {
       MDDC_RETURN_NOT_OK(
-          cache->MaterializeResumable(spec.function, spec.grouping));
+          cache->MaterializeResumable(spec.function, spec.grouping, &exec));
     }
     for (const WarmSpec& spec : specs) {
       if (const MdObject* cached = cache->Peek(spec.function, spec.grouping)) {
@@ -271,7 +273,7 @@ Status MoStore::AppendBatch(const std::string& name,
     ++append_batches_;
   } else {
     MDDC_ASSIGN_OR_RETURN(sealed,
-                          Seal(std::move(draft), warm_specs_[name]));
+                          Seal(std::move(draft), warm_specs_[name], stats));
     ++append_fallbacks_;
   }
   MDDC_RETURN_NOT_OK(SwapLocked(name, std::move(sealed)));

@@ -175,9 +175,13 @@ class MoStore {
 
   /// Builds the immutable PublishedMo bundle from a draft: warms closure
   /// memos, compiles rollup snapshots, materializes the warm specs, then
-  /// freezes every dimension for publication. Caller holds writer_mu_.
+  /// freezes every dimension for publication. `stats` (optional)
+  /// accumulates the seal's engine counters — index builds, the warm
+  /// materializations' group-by runs — as SealAppend's do. Caller holds
+  /// writer_mu_.
   Result<std::shared_ptr<const PublishedMo>> Seal(
-      MdObject mo, const std::vector<WarmSpec>& specs);
+      MdObject mo, const std::vector<WarmSpec>& specs,
+      ExecStats* stats = nullptr);
 
   /// Seal variant for a draft that passed the pure-append gate: patches
   /// the published bundle (`prev`) forward instead of recompiling it.

@@ -605,7 +605,8 @@ TEST(FoldAggregateAppendTest, FoldsMatchFromScratchFormationBytes) {
     }
     for (Entry& entry : entries) {
       SCOPED_TRACE(entry.spec.function.name());
-      const std::string scratch = Bytes(AggregateFormation(mo, entry.spec));
+      const std::string scratch =
+          Bytes(ReferenceAggregateFormation(mo, entry.spec));
       ASSERT_FALSE(scratch.empty());
 
       AggregateFoldState refreshed;
@@ -640,6 +641,116 @@ TEST(FoldAggregateAppendTest, FoldsMatchFromScratchFormationBytes) {
     EXPECT_GT(created, 0u);
     EXPECT_GT(extended, 0u);
     EXPECT_GT(untouched, 0u);
+  }
+}
+
+/// A many-to-many Patient MO over a non-strict Diagnosis hierarchy with
+/// non-dyadic containment probabilities (low-level 11 and 12 each roll
+/// up to families 21 and 22) and a Dose dimension with non-dyadic
+/// numbers. The test's values are chosen so that the probability
+/// products and the SUM totals of the extended families change in their
+/// last bits when the delta is folded as a separate partial instead of
+/// member by member.
+MdObject BuildProbabilisticDoseMo() {
+  DimensionTypeBuilder diagnosis_type("Diagnosis");
+  diagnosis_type.AddCategory("Low-level", AggregationType::kConstant);
+  diagnosis_type.AddCategory("Family", AggregationType::kConstant);
+  diagnosis_type.AddOrder("Low-level", "Family");
+  Dimension diagnosis(std::move(diagnosis_type.Build()).ValueOrDie());
+  const CategoryTypeIndex low = *diagnosis.type().Find("Low-level");
+  const CategoryTypeIndex family = *diagnosis.type().Find("Family");
+  for (std::uint64_t v : {11, 12, 13, 14}) {
+    EXPECT_TRUE(diagnosis.AddValue(low, ValueId(v)).ok());
+  }
+  for (std::uint64_t v : {21, 22, 23}) {
+    EXPECT_TRUE(diagnosis.AddValue(family, ValueId(v)).ok());
+  }
+  const Lifespan always = Lifespan::AlwaysSpan();
+  EXPECT_TRUE(diagnosis.AddOrder(ValueId(11), ValueId(21), always, 0.1).ok());
+  EXPECT_TRUE(diagnosis.AddOrder(ValueId(11), ValueId(22), always, 0.7).ok());
+  EXPECT_TRUE(diagnosis.AddOrder(ValueId(12), ValueId(21), always, 0.3).ok());
+  EXPECT_TRUE(diagnosis.AddOrder(ValueId(12), ValueId(22), always, 0.7).ok());
+  EXPECT_TRUE(diagnosis.AddOrder(ValueId(13), ValueId(22), always, 0.3).ok());
+  EXPECT_TRUE(diagnosis.AddOrder(ValueId(14), ValueId(23), always, 0.7).ok());
+
+  DimensionTypeBuilder dose_type("Dose");
+  dose_type.AddCategory("Dose", AggregationType::kSum);
+  Dimension dose(std::move(dose_type.Build()).ValueOrDie());
+  const CategoryTypeIndex bottom = dose.type().bottom();
+  Representation& rep = dose.RepresentationFor(bottom, "Value");
+  const std::vector<std::pair<std::uint64_t, const char*>> doses = {
+      {31, "0.1"}, {32, "0.2"}, {33, "0.7"}, {34, "1.3"}};
+  for (const auto& [id, text] : doses) {
+    EXPECT_TRUE(dose.AddValue(bottom, ValueId(id)).ok());
+    EXPECT_TRUE(rep.Set(ValueId(id), text).ok());
+  }
+  return MdObject("Patient", {std::move(diagnosis), std::move(dose)},
+                  std::make_shared<FactRegistry>());
+}
+
+/// Appends patient `id` with (diagnosis, probability) pairs and doses.
+FactId AddDosedPatient(
+    MdObject& mo, std::uint64_t id,
+    const std::vector<std::pair<std::uint64_t, double>>& diagnoses,
+    const std::vector<std::uint64_t>& doses) {
+  const FactId patient = mo.registry()->Atom(id);
+  EXPECT_TRUE(mo.AddFact(patient).ok());
+  for (const auto& [diagnosis, prob] : diagnoses) {
+    EXPECT_TRUE(mo.Relate(0, patient, ValueId(diagnosis),
+                          Lifespan::AlwaysSpan(), prob)
+                    .ok());
+  }
+  for (std::uint64_t dose : doses) {
+    EXPECT_TRUE(mo.Relate(1, patient, ValueId(dose)).ok());
+  }
+  return patient;
+}
+
+TEST(FoldAggregateAppendTest, ProbabilisticFoldMatchesTheReference) {
+  const std::vector<AggFunction> functions = {
+      AggFunction::Sum(1), AggFunction::Count(1), AggFunction::Min(1),
+      AggFunction::Max(1), AggFunction::SetCount()};
+  for (const AggFunction& function : functions) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(StrCat(function.name(), " captured at threads=", threads));
+      MdObject mo = BuildProbabilisticDoseMo();
+      AddDosedPatient(mo, 1, {{11, 0.7}, {12, 0.3}}, {31});
+      AddDosedPatient(mo, 2, {{12, 1.0}}, {32, 33});
+      AddDosedPatient(mo, 3, {{13, 0.1}}, {33});
+      AddDosedPatient(mo, 4, {{11, 1.0}}, {34});
+      AggregateSpec spec{function, {}, ResultDimensionSpec::Auto(),
+                         kNowChronon, true};
+      spec.grouping = {*mo.dimension(0).type().Find("Family"),
+                       mo.dimension(1).type().top()};
+      AggregateFoldState state;
+      AggregateSpec capture = spec;
+      capture.capture = &state;
+      ExecContext ctx(threads, /*min_facts=*/1);
+      ASSERT_TRUE(AggregateFormation(mo, capture, &ctx).ok());
+      ASSERT_TRUE(state.valid);
+
+      // Patients 5 and 6 both join captured family 21 (and 22); patient 7
+      // opens family 23.
+      const std::vector<FactId> delta = {
+          AddDosedPatient(mo, 5, {{11, 0.3}}, {32}),
+          AddDosedPatient(mo, 6, {{12, 0.7}}, {31, 34}),
+          AddDosedPatient(mo, 7, {{14, 0.3}}, {33})};
+      AggregateFoldState refreshed;
+      AggregateSpec fold = spec;
+      fold.capture = &refreshed;
+      const std::string folded =
+          Bytes(FoldAggregateAppend(mo, fold, state, delta));
+      EXPECT_EQ(folded, Bytes(ReferenceAggregateFormation(mo, spec)));
+      ASSERT_EQ(refreshed.groups.size(), state.groups.size() + 1);
+      const auto family_21 = [](const AggregateFoldState& s) {
+        return std::find_if(s.groups.begin(), s.groups.end(),
+                            [](const AggregateFoldState::Group& g) {
+                              return g.key[0] == ValueId(21);
+                            })
+            ->member_count;
+      };
+      EXPECT_EQ(family_21(refreshed), family_21(state) + 2);
+    }
   }
 }
 
@@ -721,7 +832,7 @@ TEST(FoldAggregateAppendTest, EdgeUnderACapturedValueRefusesTheFold) {
 
   // The old fact now also joins family 11. A fold that cannot see it
   // must refuse, and the caller's rescan gives the formation's bytes.
-  const std::string scratch = Bytes(AggregateFormation(mo, spec));
+  const std::string scratch = Bytes(ReferenceAggregateFormation(mo, spec));
   Result<MdObject> folded = FoldAggregateAppend(mo, spec, state, {});
   EXPECT_FALSE(folded.ok());
   EXPECT_EQ(Bytes(folded.ok() ? std::move(folded)
@@ -741,7 +852,7 @@ TEST(FoldAggregateAppendTest, EdgeUnderACapturedValueRefusesTheFold) {
   ASSERT_TRUE(mo.AddFact(newcomer).ok());
   ASSERT_TRUE(mo.Relate(0, newcomer, fresh).ok());
   EXPECT_EQ(Bytes(FoldAggregateAppend(mo, spec, fresh_state, {newcomer})),
-            Bytes(AggregateFormation(mo, spec)));
+            Bytes(ReferenceAggregateFormation(mo, spec)));
 }
 
 }  // namespace

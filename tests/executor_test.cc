@@ -235,7 +235,7 @@ AggregationType ResultBottomType(const MdObject& aggregated) {
 /// degradation.
 void ExpectParallelMatchesSequential(const MdObject& mo,
                                      const AggregateSpec& spec) {
-  auto sequential = AggregateFormation(mo, spec);
+  auto sequential = ReferenceAggregateFormation(mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok()) << sequential_bytes.status();
@@ -385,7 +385,7 @@ TEST(ExecutorCountersTest, NonStrictWorkloadRunsParallel) {
   const AggregateSpec spec =
       SpecFor(AggFunction::SetCount(),
               GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.group));
-  auto sequential = AggregateFormation(clinical.mo, spec);
+  auto sequential = ReferenceAggregateFormation(clinical.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   ExecContext ctx(8, /*min_facts=*/1);
   auto result = AggregateFormation(clinical.mo, spec, &ctx);

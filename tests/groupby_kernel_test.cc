@@ -84,7 +84,7 @@ AggregateSpec SpecFor(const AggFunction& function,
 }
 
 std::string BaselineBytes(const MdObject& mo, const AggregateSpec& spec) {
-  auto baseline = AggregateFormation(mo, spec);
+  auto baseline = ReferenceAggregateFormation(mo, spec);
   EXPECT_TRUE(baseline.ok()) << baseline.status();
   auto bytes = io::WriteMo(*baseline);
   EXPECT_TRUE(bytes.ok());
@@ -333,7 +333,7 @@ void ExpectStreamMatchesBaseline(const MdObject& mo, const StreamSpec& spec,
   for (const AggFunction& function : spec.functions) {
     AggregateSpec one{function, spec.grouping, ResultDimensionSpec::Auto(),
                       spec.prob_at, spec.enforce_aggregation_types};
-    auto result = AggregateFormation(kept, one);
+    auto result = ReferenceAggregateFormation(kept, one);
     ASSERT_TRUE(result.ok()) << result.status();
     baseline.push_back(RenderFormation(*result, live));
     ASSERT_FALSE(baseline.back().empty());
@@ -469,7 +469,7 @@ Status FirstBaselineError(const MdObject& mo, const StreamSpec& spec) {
   for (const AggFunction& function : spec.functions) {
     AggregateSpec one{function, spec.grouping, ResultDimensionSpec::Auto(),
                       spec.prob_at, spec.enforce_aggregation_types};
-    auto result = AggregateFormation(mo, one);
+    auto result = ReferenceAggregateFormation(mo, one);
     if (!result.ok()) return result.status();
   }
   return Status::OK();
@@ -679,7 +679,7 @@ TEST(GroupByKernelTest, NumericColumnFollowsTheDimensionVersion) {
   const auto run = [&]() -> std::size_t {
     ExecContext ctx(2, /*min_facts=*/1);
     auto result = AggregateFormation(mo, spec, &ctx);
-    auto baseline = AggregateFormation(mo, spec);
+    auto baseline = ReferenceAggregateFormation(mo, spec);
     EXPECT_EQ(result.ok(), baseline.ok());
     if (!result.ok() || !baseline.ok()) {
       EXPECT_EQ(result.status().ToString(), baseline.status().ToString());
@@ -1181,8 +1181,7 @@ TEST(GroupByKernelTest, DistinctResultsWithIdenticalFormattingDoNotCollide) {
 
   AggregateSpec spec = SpecFor(AggFunction::Sum(1),
                                {key, mo.dimension(1).type().top()});
-  auto check = [&](ExecContext* exec, const char* engine) {
-    auto result = AggregateFormation(mo, spec, exec);
+  auto check = [&](const Result<MdObject>& result, const char* engine) {
     ASSERT_TRUE(result.ok()) << result.status();
     const std::size_t result_dim = result->dimension_count() - 1;
     const CategoryTypeIndex bottom =
@@ -1192,9 +1191,9 @@ TEST(GroupByKernelTest, DistinctResultsWithIdenticalFormattingDoNotCollide) {
     EXPECT_EQ(result->dimension(result_dim).ValuesIn(bottom).size(), 2u)
         << engine;
   };
-  check(nullptr, "baseline engine");
+  check(ReferenceAggregateFormation(mo, spec), "reference engine");
   ExecContext ctx(1, /*min_facts=*/1);
-  check(&ctx, "kernel engine");
+  check(AggregateFormation(mo, spec, &ctx), "kernel engine");
 }
 
 // ---- Relational flat-hash engine ------------------------------------------

@@ -252,12 +252,30 @@ TEST(IngestDifferentialTest, StructuralMutationMidStreamFallsBack) {
   });
   insert_op(93000300, 5);
 
+  std::vector<ExecStats> seals(stream.size());
   for (std::size_t op = 0; op < stream.size(); ++op) {
-    ASSERT_TRUE(incremental.AppendBatch("clinical", stream[op]).ok())
+    const std::uint64_t fallbacks = incremental.CollectStats().append_fallbacks;
+    ASSERT_TRUE(
+        incremental.AppendBatch("clinical", stream[op], nullptr, &seals[op])
+            .ok())
         << "op " << op;
     ASSERT_TRUE(rebuilt.Mutate("clinical", stream[op]).ok()) << "op " << op;
     ExpectReadsMatch(incremental, rebuilt, StrCat("op ", op));
+    if (incremental.CollectStats().append_fallbacks > fallbacks) {
+      // A full-seal fallback reports its counters as a patched batch
+      // does: the warm aggregate's materialization (one group-by run over
+      // the snapshots), not a fold.
+      EXPECT_EQ(seals[op].dense_groupby_runs + seals[op].flat_hash_runs, 1u)
+          << "op " << op;
+      EXPECT_GT(seals[op].index_hits, 0u) << "op " << op;
+      EXPECT_EQ(seals[op].preagg_folds, 0u) << "op " << op;
+    } else {
+      EXPECT_EQ(seals[op].preagg_folds, 1u) << "op " << op;
+    }
   }
+  // The re-relate op added a diagnosis leaf, so its fallback seal
+  // recompiled that dimension's rollup snapshot.
+  EXPECT_GT(seals[4].index_builds, 0u);
 
   const serve::MoStore::Stats stats = incremental.CollectStats();
   EXPECT_EQ(stats.append_batches, 4u);   // the four pure-append inserts

@@ -503,7 +503,7 @@ TEST(RollupIndexEndToEndTest, AggregateCountsHitsAndMatchesSequential) {
       SpecFor(AggFunction::Sum(retail.amount_dim),
               GroupingAt(retail.mo, retail.product_dim, retail.category));
 
-  auto sequential = AggregateFormation(retail.mo, spec);
+  auto sequential = ReferenceAggregateFormation(retail.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -529,7 +529,7 @@ TEST(RollupIndexEndToEndTest, NonStrictAggregateCountsFallbacks) {
       AggFunction::SetCount(),
       GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.family));
 
-  auto sequential = AggregateFormation(clinical.mo, spec);
+  auto sequential = ReferenceAggregateFormation(clinical.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -656,7 +656,7 @@ TEST(RollupIndexEndToEndTest,
   ASSERT_TRUE(products.AddOrder(ValueId(999983), category_value).ok());
   EXPECT_TRUE(stale->StaleFor(products));
 
-  auto sequential = AggregateFormation(retail.mo, spec);
+  auto sequential = ReferenceAggregateFormation(retail.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
