@@ -46,7 +46,7 @@ std::size_t PatientsCovered(const MdObject& aggregated) {
   std::set<FactId> patients;
   for (FactId group : aggregated.facts()) {
     auto term = aggregated.registry()->Get(group);
-    for (FactId member : term->members) patients.insert(member);
+    for (FactId member : term->members()) patients.insert(member);
   }
   return patients.size();
 }

@@ -150,6 +150,8 @@ struct ModeResult {
   std::vector<std::string> rendered;  ///< read set after every batch
   std::uint64_t append_batches = 0;
   std::uint64_t append_fallbacks = 0;
+  std::uint64_t registry_flattens = 0;
+  serve::MoStore::WritePhases write_phases;  ///< the store's write split
   ExecStats seal_stats;
 };
 
@@ -203,6 +205,8 @@ ModeResult RunMode(bool incremental, Shape shape, const ClinicalMo& clinical,
   const serve::MoStore::Stats stats = store.CollectStats();
   result.append_batches = stats.append_batches;
   result.append_fallbacks = stats.append_fallbacks;
+  result.registry_flattens = stats.registry_flattens;
+  result.write_phases = stats.write_phases;
   return result;
 }
 
@@ -218,7 +222,33 @@ struct SweepRow {
   std::uint64_t rollup_patches = 0;
   std::uint64_t preagg_folds = 0;
   std::uint64_t fold_invalidations = 0;
+  std::uint64_t registry_flattens = 0;         ///< incremental mode
+  serve::MoStore::WritePhases write_phases;  ///< incremental mode
 };
+
+/// The incremental mode's write split as a JSON object: cumulative and
+/// largest single-batch milliseconds per phase (MoStore::WritePhases).
+std::string WritePhasesJson(const serve::MoStore::WritePhases& w) {
+  const std::pair<const char*, const serve::MoStore::PhaseTime*> phases[] = {
+      {"registry_fork", &w.registry_fork},
+      {"registry_flatten", &w.registry_flatten},
+      {"draft_clone", &w.draft_clone},
+      {"apply", &w.apply},
+      {"append_gate", &w.append_gate},
+      {"seal", &w.seal},
+      {"swap", &w.swap},
+  };
+  std::string json = "{";
+  for (const auto& [name, phase] : phases) {
+    char field[128];
+    std::snprintf(field, sizeof(field),
+                  "%s\"%s\": {\"total_ms\": %.4f, \"max_ms\": %.4f}",
+                  json.size() > 1 ? ", " : "", name, phase->total_ms,
+                  phase->max_ms);
+    json += field;
+  }
+  return json + "}";
+}
 
 void WriteJson(const std::vector<SweepRow>& rows, const char* path) {
   std::FILE* out = std::fopen(path, "w");
@@ -239,7 +269,8 @@ void WriteJson(const std::vector<SweepRow>& rows, const char* path) {
         "\"incremental_seconds\": %.4f, \"rebuild_seconds\": %.4f, "
         "\"speedup\": %.2f, \"csr_tail_extends\": %llu, "
         "\"rollup_patches\": %llu, \"preagg_folds\": %llu, "
-        "\"fold_invalidations\": %llu}%s\n",
+        "\"fold_invalidations\": %llu, \"registry_flattens\": %llu, "
+        "\"write_phases\": %s}%s\n",
         r.facts, ShapeName(r.shape), r.batches, r.batch_facts,
         r.incremental_seconds,
         r.rebuild_seconds, r.speedup,
@@ -247,6 +278,8 @@ void WriteJson(const std::vector<SweepRow>& rows, const char* path) {
         static_cast<unsigned long long>(r.rollup_patches),
         static_cast<unsigned long long>(r.preagg_folds),
         static_cast<unsigned long long>(r.fold_invalidations),
+        static_cast<unsigned long long>(r.registry_flattens),
+        WritePhasesJson(r.write_phases).c_str(),
         i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -330,6 +363,8 @@ int main() {
       row.rollup_patches = inc.seal_stats.rollup_patches;
       row.preagg_folds = inc.seal_stats.preagg_folds;
       row.fold_invalidations = inc.seal_stats.preagg_fold_invalidations;
+      row.registry_flattens = inc.registry_flattens;
+      row.write_phases = inc.write_phases;
       rows.push_back(row);
 
       std::printf(

@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "algebra/aggregate_assembly.h"
 #include "common/strings.h"
@@ -1507,12 +1508,13 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
     }
     const FactTerm* term = registry.FindTerm(old_group.group_fact);
     if (term == nullptr || term->kind != FactTerm::Kind::kSet ||
-        term->members.size() != old_group.member_count) {
+        term->members().size() != old_group.member_count) {
       return Status::InvalidArgument("fold state group members drifted");
     }
-    if (!term->members.empty() &&
-        (!max_old_member.valid() || max_old_member < term->members.back())) {
-      max_old_member = term->members.back();
+    const std::span<const FactId> members = term->members();
+    if (!members.empty() &&
+        (!max_old_member.valid() || max_old_member < members.back())) {
+      max_old_member = members.back();
     }
   }
   // The byte-identity argument needs every delta fact to sort after every
@@ -1580,7 +1582,9 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
     }
     t.group = captured(*old);
     t.group.group_fact = FactId();
-    t.group.members = registry.FindTerm(old->group_fact)->members;
+    const std::span<const FactId> members =
+        registry.FindTerm(old->group_fact)->members();
+    t.group.members.assign(members.begin(), members.end());
     // The captured value IS the accumulator's settled statistic, and
     // count only matters to Finish's empty-group error, which the capture
     // already cleared. SetCount resumes from the member count.

@@ -97,7 +97,32 @@ class FlatHashIndex {
     }
   }
 
+  /// Inserts every entry of `other`, its ordinal shifted by
+  /// `ordinal_offset`, under the hash `other` already stores: no key is
+  /// re-hashed and no equality probe runs. The caller guarantees the two
+  /// key sets are disjoint (e.g. collapsing the layers of a fork chain,
+  /// each of which only interns keys its bases lack).
+  void AbsorbDisjoint(const FlatHashIndex& other,
+                      std::uint32_t ordinal_offset) {
+    std::size_t capacity = hashes_.size();
+    while ((size_ + other.size_ + 1) * 10 >= capacity * 7) capacity *= 2;
+    if (capacity != hashes_.size()) Rehash(capacity);
+    for (std::size_t i = 0; i < other.ordinals_.size(); ++i) {
+      if (other.ordinals_[i] == kNone) continue;
+      Place(other.hashes_[i], other.ordinals_[i] + ordinal_offset);
+    }
+    size_ += other.size_;
+  }
+
  private:
+  /// Stores (hash, ordinal) in the first empty slot of its probe run.
+  void Place(std::uint64_t hash, std::uint32_t ordinal) {
+    std::size_t pos = static_cast<std::size_t>(hash) & mask_;
+    while (ordinals_[pos] != kNone) pos = (pos + 1) & mask_;
+    ordinals_[pos] = ordinal;
+    hashes_[pos] = hash;
+  }
+
   void Rehash(std::size_t capacity) {
     std::vector<std::uint64_t> old_hashes = std::move(hashes_);
     std::vector<std::uint32_t> old_ordinals = std::move(ordinals_);
@@ -105,11 +130,7 @@ class FlatHashIndex {
     ordinals_.assign(capacity, kNone);
     mask_ = capacity - 1;
     for (std::size_t i = 0; i < old_ordinals.size(); ++i) {
-      if (old_ordinals[i] == kNone) continue;
-      std::size_t pos = static_cast<std::size_t>(old_hashes[i]) & mask_;
-      while (ordinals_[pos] != kNone) pos = (pos + 1) & mask_;
-      ordinals_[pos] = old_ordinals[i];
-      hashes_[pos] = old_hashes[i];
+      if (old_ordinals[i] != kNone) Place(old_hashes[i], old_ordinals[i]);
     }
   }
 

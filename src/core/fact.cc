@@ -18,14 +18,35 @@ std::shared_ptr<FactRegistry> FactRegistry::ForkOf(
 }
 
 std::shared_ptr<FactRegistry> FactRegistry::Flatten() const {
+  std::vector<const FactRegistry*> chain;  // this first, root last
+  for (const FactRegistry* r = this; r != nullptr; r = r->base_.get()) {
+    chain.push_back(r);
+  }
   auto flat = std::make_shared<FactRegistry>();
-  const std::size_t n = size();
-  flat->terms_.reserve(n);
-  for (std::size_t raw = 0; raw < n; ++raw) {
-    const FactTerm* term = FindTerm(FactId(raw));
-    flat->Intern(*term, HashTerm(*term));
+  flat->terms_.reserve(size());
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const FactRegistry& layer = **it;
+    // A layer's local ordinal o is id base_size_ + o, which is the flat
+    // ordinal; layers intern disjoint terms, so the slots move verbatim.
+    flat->terms_.insert(flat->terms_.end(), layer.terms_.begin(),
+                        layer.terms_.end());
+    const auto offset = static_cast<std::uint32_t>(layer.base_size_);
+    flat->atom_index_.AbsorbDisjoint(layer.atom_index_, offset);
+    flat->pair_index_.AbsorbDisjoint(layer.pair_index_, offset);
+    flat->set_index_.AbsorbDisjoint(layer.set_index_, offset);
   }
   return flat;
+}
+
+bool operator==(const FactTerm& a, const FactTerm& b) {
+  if (a.kind != b.kind || a.atom != b.atom || a.first != b.first ||
+      a.second != b.second) {
+    return false;
+  }
+  if (a.member_list == b.member_list) return true;
+  const std::span<const FactId> left = a.members();
+  const std::span<const FactId> right = b.members();
+  return std::equal(left.begin(), left.end(), right.begin(), right.end());
 }
 
 std::uint64_t FactRegistry::HashTerm(const FactTerm& term) {
@@ -38,7 +59,7 @@ std::uint64_t FactRegistry::HashTerm(const FactTerm& term) {
       // Chain word-wise over the sorted member list; the empty set hashes
       // to the seed, which is as good a bucket as any.
       std::uint64_t hash = kFnv1a64Offset;
-      for (FactId member : term.members) {
+      for (FactId member : term.members()) {
         hash = Fnv1a64Word(member.raw(), hash);
       }
       return hash;
@@ -92,7 +113,8 @@ FactId FactRegistry::Set(std::vector<FactId> members) {
   members.erase(std::unique(members.begin(), members.end()), members.end());
   FactTerm term;
   term.kind = FactTerm::Kind::kSet;
-  term.members = std::move(members);
+  term.member_list =
+      std::make_shared<const std::vector<FactId>>(std::move(members));
   return FindOrIntern(std::move(term));
 }
 
@@ -126,8 +148,8 @@ std::string FactRegistry::ToString(FactId id) const {
                     ")");
     case FactTerm::Kind::kSet: {
       std::vector<std::string> parts;
-      parts.reserve(term->members.size());
-      for (FactId member : term->members) parts.push_back(ToString(member));
+      parts.reserve(term->members().size());
+      for (FactId member : term->members()) parts.push_back(ToString(member));
       return StrCat("{", Join(parts, ","), "}");
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,22 @@ struct FactTerm {
   /// kPair: the two components, in order.
   FactId first;
   FactId second;
-  /// kSet: the member facts, sorted and deduplicated.
-  std::vector<FactId> members;
+  /// kSet: the member facts, sorted and deduplicated, in immutable
+  /// storage. Every copy of the term shares the one buffer — the forks
+  /// of a registry, its flattened copies and the terms Get() hands out —
+  /// so neither copying a term nor flattening a registry copies a member
+  /// list. Null for the other kinds.
+  std::shared_ptr<const std::vector<FactId>> member_list;
 
-  friend bool operator==(const FactTerm&, const FactTerm&) = default;
+  /// kSet: the member facts (empty for the other kinds).
+  std::span<const FactId> members() const {
+    return member_list == nullptr ? std::span<const FactId>()
+                                  : std::span<const FactId>(*member_list);
+  }
+
+  /// Structural equality: member lists compare by content, with a
+  /// shared-buffer shortcut first.
+  friend bool operator==(const FactTerm& a, const FactTerm& b);
 };
 
 /// Interns fact terms and hands out dense FactIds so that fact equality is
@@ -62,9 +75,12 @@ class FactRegistry {
   static std::shared_ptr<FactRegistry> ForkOf(
       std::shared_ptr<const FactRegistry> base);
 
-  /// A deep, flat copy preserving every id: collapses a fork chain into a
-  /// fresh root registry (fork_depth() == 0). The writer path flattens
-  /// when chains grow so published lookups stay O(log n), not O(epochs).
+  /// Collapses a fork chain into a fresh root registry (fork_depth() ==
+  /// 0) preserving every id. The cost is O(terms): each term is copied
+  /// with its member list shared, not copied, and each dedup slot moves
+  /// into the root's tables under the hash it already stores, so no term
+  /// is re-hashed. The writer path flattens when chains grow so resolving
+  /// an id stays a short walk, not O(epochs).
   std::shared_ptr<FactRegistry> Flatten() const;
 
   /// Number of overlay links back to a root registry (0 for a root).

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/strings.h"
@@ -299,7 +300,10 @@ Result<MdObject> PreAggregateCache::RollUpCached(
         cached.dimension(result_dim)
             .NumericValueOf(
                 result_relation.entries()[result_pairs.front()].value));
-    MDDC_ASSIGN_OR_RETURN(FactTerm term, cached.registry()->Get(group));
+    const FactTerm* term = cached.registry()->FindTerm(group);
+    if (term == nullptr) {
+      return Status::InvariantViolation("cached group fact not in registry");
+    }
     const std::uint64_t hash = HashValueIds(key.data(), n);
     bool inserted = false;
     const std::uint32_t g = flat_index.FindOrInsert(
@@ -315,8 +319,8 @@ Result<MdObject> PreAggregateCache::RollUpCached(
       flat_slots.emplace_back();
     }
     Merged* slot = &flat_slots[g];
-    slot->members.insert(slot->members.end(), term.members.begin(),
-                         term.members.end());
+    const std::span<const FactId> members = term->members();
+    slot->members.insert(slot->members.end(), members.begin(), members.end());
     slot->value = slot->first ? partial
                               : Merge(function.kind(), slot->value, partial);
     slot->first = false;

@@ -232,7 +232,7 @@ Result<std::string> WriteMo(const MdObject& mo) {
       }
       case FactTerm::Kind::kSet: {
         std::vector<std::string> members;
-        for (FactId member : term.members) {
+        for (FactId member : term.members()) {
           MDDC_ASSIGN_OR_RETURN(std::size_t index, emit(member));
           members.push_back(std::to_string(index));
         }

@@ -1,6 +1,7 @@
 #include "serve/mo_store.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/strings.h"
@@ -13,9 +14,27 @@ namespace {
 /// Fork chains longer than this are collapsed before the next draft:
 /// each mutation batch adds one overlay, and resolving a fact id walks
 /// the chain, so unbounded depth would slowly tax every reader of later
-/// epochs. Eight keeps the walk trivial while amortizing the O(facts)
-/// flatten over eight batches.
+/// epochs. Eight keeps the walk trivial; the flatten itself is O(terms)
+/// (member lists are shared, not copied).
 constexpr std::size_t kMaxForkDepth = 8;
+
+/// Times consecutive write phases: each Lap() charges the time since the
+/// previous lap (or construction) to one phase.
+class PhaseClock {
+ public:
+  void Lap(MoStore::PhaseTime* phase) {
+    const auto now = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - last_).count();
+    phase->total_ms += ms;
+    phase->max_ms = std::max(phase->max_ms, ms);
+    last_ = now;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_ =
+      std::chrono::steady_clock::now();
+};
 
 /// The pure-append gate of AppendBatch: true iff `draft` is `published`
 /// plus appended facts only. The published fact list must be a prefix of
@@ -254,19 +273,16 @@ Status MoStore::AppendBatch(const std::string& name,
   if (entry == nullptr) {
     return Status::NotFound(StrCat("no MO named '", name, "' is published"));
   }
-  std::shared_ptr<FactRegistry> registry;
-  if (entry->mo().registry()->fork_depth() >= kMaxForkDepth) {
-    registry = entry->mo().registry()->Flatten();
-    ++registry_flattens_;
-  } else {
-    registry = FactRegistry::ForkOf(entry->mo().registry());
-  }
-  MdObject draft = entry->mo().WithRegistry(std::move(registry));
+  MdObject draft = DraftLocked(*entry);
+  PhaseClock clock;
   MDDC_RETURN_NOT_OK(appender(draft));
+  clock.Lap(&write_phases_.apply);
 
   std::vector<FactId> delta;
+  const bool pure_append = IsPureAppend(entry->mo(), draft, &delta);
+  clock.Lap(&write_phases_.append_gate);
   std::shared_ptr<const PublishedMo> sealed;
-  if (IsPureAppend(entry->mo(), draft, &delta)) {
+  if (pure_append) {
     MDDC_ASSIGN_OR_RETURN(
         sealed,
         SealAppend(std::move(draft), *entry, delta, warm_specs_[name], stats));
@@ -276,9 +292,27 @@ Status MoStore::AppendBatch(const std::string& name,
                           Seal(std::move(draft), warm_specs_[name], stats));
     ++append_fallbacks_;
   }
+  clock.Lap(&write_phases_.seal);
   MDDC_RETURN_NOT_OK(SwapLocked(name, std::move(sealed)));
+  clock.Lap(&write_phases_.swap);
   if (published_epoch != nullptr) *published_epoch = Pin()->epoch();
   return Status::OK();
+}
+
+MdObject MoStore::DraftLocked(const PublishedMo& entry) {
+  PhaseClock clock;
+  std::shared_ptr<FactRegistry> registry;
+  if (entry.mo().registry()->fork_depth() >= kMaxForkDepth) {
+    registry = entry.mo().registry()->Flatten();
+    ++registry_flattens_;
+    clock.Lap(&write_phases_.registry_flatten);
+  } else {
+    registry = FactRegistry::ForkOf(entry.mo().registry());
+    clock.Lap(&write_phases_.registry_fork);
+  }
+  MdObject draft = entry.mo().WithRegistry(std::move(registry));
+  clock.Lap(&write_phases_.draft_clone);
+  return draft;
 }
 
 Status MoStore::MutateLocked(const std::string& name,
@@ -288,22 +322,16 @@ Status MoStore::MutateLocked(const std::string& name,
   if (entry == nullptr) {
     return Status::NotFound(StrCat("no MO named '", name, "' is published"));
   }
-  // Draft off to the side: a copy of the published MO whose registry is
-  // a fork of the sealed one, so the mutator's interning is invisible to
-  // readers pinned on any epoch. Fork chains are collapsed every
-  // kMaxForkDepth batches.
-  std::shared_ptr<FactRegistry> registry;
-  if (entry->mo().registry()->fork_depth() >= kMaxForkDepth) {
-    registry = entry->mo().registry()->Flatten();
-    ++registry_flattens_;
-  } else {
-    registry = FactRegistry::ForkOf(entry->mo().registry());
-  }
-  MdObject draft = entry->mo().WithRegistry(std::move(registry));
+  MdObject draft = DraftLocked(*entry);
+  PhaseClock clock;
   MDDC_RETURN_NOT_OK(mutator(draft));
+  clock.Lap(&write_phases_.apply);
   MDDC_ASSIGN_OR_RETURN(std::shared_ptr<const PublishedMo> sealed,
                         Seal(std::move(draft), warm_specs_[name]));
-  return SwapLocked(name, std::move(sealed));
+  clock.Lap(&write_phases_.seal);
+  MDDC_RETURN_NOT_OK(SwapLocked(name, std::move(sealed)));
+  clock.Lap(&write_phases_.swap);
+  return Status::OK();
 }
 
 Status MoStore::WarmAggregate(const std::string& name,
@@ -351,6 +379,7 @@ MoStore::Stats MoStore::CollectStats() const {
   stats.live_snapshots = live + 1;  // retired-but-pinned + current
   stats.append_batches = append_batches_;
   stats.append_fallbacks = append_fallbacks_;
+  stats.write_phases = write_phases_;
   return stats;
 }
 

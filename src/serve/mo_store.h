@@ -150,6 +150,26 @@ class MoStore {
   Status WarmAggregate(const std::string& name, const AggFunction& function,
                        std::vector<CategoryTypeIndex> grouping);
 
+  /// Wall time of one write phase: summed over every write and the
+  /// largest single write, in milliseconds.
+  struct PhaseTime {
+    double total_ms = 0.0;
+    double max_ms = 0.0;
+  };
+
+  /// The write-path split of AppendBatch and Mutate (WarmAggregate's
+  /// republish included), timed with one steady_clock pair per phase
+  /// per write, never per fact.
+  struct WritePhases {
+    PhaseTime registry_fork;     ///< O(1) fork of the published registry
+    PhaseTime registry_flatten;  ///< fork chain collapsed instead
+    PhaseTime draft_clone;       ///< copy of the published MO
+    PhaseTime apply;             ///< the caller's mutator or appender
+    PhaseTime append_gate;       ///< AppendBatch's pure-append check
+    PhaseTime seal;              ///< Seal, or SealAppend on the fast path
+    PhaseTime swap;              ///< the new snapshot swapped in
+  };
+
   struct Stats {
     std::uint64_t epochs_published = 0;  ///< swaps since construction
     std::uint64_t registry_flattens = 0;  ///< fork chains collapsed
@@ -157,6 +177,7 @@ class MoStore {
     std::size_t live_snapshots = 0;  ///< current + retired-but-still-pinned
     std::uint64_t append_batches = 0;    ///< AppendBatch fast-path seals
     std::uint64_t append_fallbacks = 0;  ///< AppendBatch full-Seal fallbacks
+    WritePhases write_phases;
   };
 
   /// Current stats; prunes the retired-epoch observers as a side effect
@@ -168,6 +189,13 @@ class MoStore {
   /// `name` (null draft = drop). Caller holds writer_mu_.
   Status SwapLocked(const std::string& name,
                     std::shared_ptr<const PublishedMo> entry);
+
+  /// The draft every write applies to: a copy of the published MO whose
+  /// registry is a fork of the sealed one — or, once the fork chain is
+  /// kMaxForkDepth long, its flattened copy — so the writer's interning
+  /// is invisible to readers pinned on any epoch. Times the fork/flatten
+  /// and clone phases. Caller holds writer_mu_.
+  MdObject DraftLocked(const PublishedMo& entry);
 
   /// Mutate() body; caller holds writer_mu_.
   Status MutateLocked(const std::string& name,
@@ -200,6 +228,7 @@ class MoStore {
   std::uint64_t registry_flattens_ = 0;        // writer_mu_
   std::uint64_t append_batches_ = 0;           // writer_mu_
   std::uint64_t append_fallbacks_ = 0;         // writer_mu_
+  WritePhases write_phases_;                   // writer_mu_
 };
 
 }  // namespace serve

@@ -341,7 +341,9 @@ TEST(AggregateFormationTest, FactWithoutGroupValueFallsOutOfAllGroups) {
   FactId group_fact = result->facts()[0];
   auto term = registry->Get(group_fact);
   ASSERT_TRUE(term.ok());
-  EXPECT_EQ(term->members, std::vector<FactId>{p1});
+  EXPECT_EQ(std::vector<FactId>(term->members().begin(),
+                                term->members().end()),
+            std::vector<FactId>{p1});
 }
 
 TEST(AggregateFormationTest, TemporalGroupLinkIntersectsMemberSpans) {

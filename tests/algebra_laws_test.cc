@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "algebra/derived.h"
 #include "algebra/operators.h"
@@ -202,12 +203,12 @@ TEST_P(AlgebraLawsTest, AggregateGroupInvariants) {
     ASSERT_TRUE(term.ok());
     ASSERT_EQ(term->kind, FactTerm::Kind::kSet);
     // Non-empty, within the base population, duplicate-free (canonical).
-    EXPECT_FALSE(term->members.empty());
-    EXPECT_LE(term->members.size(), mo().fact_count());
-    for (std::size_t m = 1; m < term->members.size(); ++m) {
-      EXPECT_LT(term->members[m - 1], term->members[m]);
+    EXPECT_FALSE(term->members().empty());
+    EXPECT_LE(term->members().size(), mo().fact_count());
+    for (std::size_t m = 1; m < term->members().size(); ++m) {
+      EXPECT_LT(term->members()[m - 1], term->members()[m]);
     }
-    for (FactId member : term->members) {
+    for (FactId member : term->members()) {
       EXPECT_TRUE(mo().HasFact(member));
     }
     // The recorded count equals the set size.
@@ -215,7 +216,7 @@ TEST_P(AlgebraLawsTest, AggregateGroupInvariants) {
     ASSERT_EQ(pairs.size(), 1u);
     EXPECT_DOUBLE_EQ(*result->dimension(result_dim)
                           .NumericValueOf(pairs.front()->value),
-                     static_cast<double>(term->members.size()));
+                     static_cast<double>(term->members().size()));
   }
 }
 
@@ -233,7 +234,8 @@ TEST_P(AlgebraLawsTest, AggregateCoverageMatchesCharacterization) {
   std::set<FactId> grouped;
   for (FactId group : result->facts()) {
     auto term = registry_->Get(group);
-    grouped.insert(term->members.begin(), term->members.end());
+    const std::span<const FactId> members = term->members();
+    grouped.insert(members.begin(), members.end());
   }
   std::set<FactId> characterized;
   for (FactId fact : mo().facts()) {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -290,7 +291,9 @@ RenderedGroups RenderFormation(const MdObject& result,
   for (FactId fact : result.facts()) {
     auto term = result.registry()->Get(fact);
     EXPECT_TRUE(term.ok()) << term.status();
-    auto& [keys, text] = rendered[term->members];
+    const std::span<const FactId> members = term->members();
+    auto& [keys, text] =
+        rendered[std::vector<FactId>(members.begin(), members.end())];
     keys.resize(live.size());
     for (std::size_t j = 0; j < live.size(); ++j) {
       const FactDimRelation& relation = result.relation(live[j]);
@@ -974,7 +977,7 @@ TEST(CoordinateDifferentialTest, EmptyWitnessIsSkippedAndOthersStillCount) {
     auto term = result->registry()->Get(entry.fact);
     ASSERT_TRUE(term.ok());
     std::vector<std::uint64_t> members;
-    for (FactId member : term->members) {
+    for (FactId member : term->members()) {
       members.push_back(mo.registry()->Get(member)->atom);
     }
     EXPECT_EQ(members, (std::vector<std::uint64_t>{2, 6, 8, 12}));
@@ -987,7 +990,7 @@ TEST(CoordinateDifferentialTest, EmptyWitnessIsSkippedAndOthersStillCount) {
   for (const FactId fact : result->facts()) {
     auto term = result->registry()->Get(fact);
     ASSERT_TRUE(term.ok());
-    for (FactId member : term->members) {
+    for (FactId member : term->members()) {
       const std::uint64_t id = mo.registry()->Get(member)->atom;
       EXPECT_NE(id % 6, 3u) << "patient " << id << " has no family";
     }

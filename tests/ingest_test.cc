@@ -9,6 +9,7 @@
 
 #include "common/strings.h"
 #include "engine/executor.h"
+#include "io/serialize.h"
 #include "mdql/mdql.h"
 #include "mdql/parser.h"
 #include "serve/mdql_server.h"
@@ -104,6 +105,39 @@ void ExpectReadsMatch(serve::MoStore& incremental, serve::MoStore& rebuilt,
   }
 }
 
+/// Serializes the published MO and its warm pre-aggregate on both stores
+/// and asserts byte identity (io::WriteMo numbers facts by position, so
+/// the bytes hold however each store's registry assigned ids).
+void ExpectStoresIdentical(serve::MoStore& incremental,
+                           serve::MoStore& rebuilt,
+                           const std::vector<CategoryTypeIndex>& grouping,
+                           const std::string& context) {
+  const auto inc_snapshot = incremental.Pin();
+  const auto full_snapshot = rebuilt.Pin();
+  const serve::PublishedMo* inc = inc_snapshot->Find("clinical");
+  const serve::PublishedMo* full = full_snapshot->Find("clinical");
+  ASSERT_NE(inc, nullptr) << context;
+  ASSERT_NE(full, nullptr) << context;
+  auto inc_bytes = io::WriteMo(inc->mo());
+  auto full_bytes = io::WriteMo(full->mo());
+  ASSERT_TRUE(inc_bytes.ok() && full_bytes.ok()) << context;
+  EXPECT_TRUE(*inc_bytes == *full_bytes) << context << ": base MO differs";
+
+  ASSERT_NE(inc->preagg, nullptr) << context;
+  ASSERT_NE(full->preagg, nullptr) << context;
+  const MdObject* inc_warm =
+      inc->preagg->Peek(AggFunction::SetCount(), grouping);
+  const MdObject* full_warm =
+      full->preagg->Peek(AggFunction::SetCount(), grouping);
+  ASSERT_NE(inc_warm, nullptr) << context;
+  ASSERT_NE(full_warm, nullptr) << context;
+  auto inc_warm_bytes = io::WriteMo(*inc_warm);
+  auto full_warm_bytes = io::WriteMo(*full_warm);
+  ASSERT_TRUE(inc_warm_bytes.ok() && full_warm_bytes.ok()) << context;
+  EXPECT_TRUE(*inc_warm_bytes == *full_warm_bytes)
+      << context << ": warm pre-aggregate differs";
+}
+
 TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
   const ClinicalWorkloadParams params = SmallParams(300);
   ClinicalMo clinical = Build(params);
@@ -129,8 +163,12 @@ TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
       rebuilt.WarmAggregate("clinical", AggFunction::SetCount(), grouping)
           .ok());
 
+  // 2 * 8 + 1 batches: the store collapses its registry fork chain every
+  // ninth draft (kMaxForkDepth = 8 in serve/mo_store.cc), so the folds
+  // of two batches resolve their captured group facts through a
+  // flattened registry.
   ExecStats append_stats;
-  const std::size_t kBatches = 5;
+  const std::size_t kBatches = 17;
   for (std::size_t batch = 0; batch < kBatches; ++batch) {
     const std::string statement =
         BulkInsert(91000000 + batch * 100, 4 + batch, lows, areas);
@@ -171,19 +209,24 @@ TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
         << "batch " << batch;
     ASSERT_TRUE(rebuilt.Mutate("clinical", appender).ok()) << "batch " << batch;
 
+    ExpectStoresIdentical(incremental, rebuilt, grouping,
+                          StrCat("batch ", batch));
     ExpectReadsMatch(incremental, rebuilt, StrCat("batch ", batch));
   }
 
-  // Every batch took the fast path...
+  // Every batch took the fast path, across two flattens...
   const serve::MoStore::Stats stats = incremental.CollectStats();
   EXPECT_EQ(stats.append_batches, kBatches);
   EXPECT_EQ(stats.append_fallbacks, 0u);
+  EXPECT_GE(stats.registry_flattens, 2u);
   // ...and the patched seal actually patched: CSR tails spliced every
-  // batch, rollups patched on the leaf-growing batches, warm
-  // pre-aggregates delta-folded rather than rescanned.
+  // batch, rollups patched on the leaf-growing batches, the warm
+  // pre-aggregate delta-folded rather than rescanned on every batch, the
+  // two flatten batches included.
   EXPECT_GT(append_stats.csr_tail_extends, 0u);
   EXPECT_GT(append_stats.rollup_patches, 0u);
-  EXPECT_GT(append_stats.preagg_folds, 0u);
+  EXPECT_EQ(append_stats.preagg_folds, kBatches);
+  EXPECT_EQ(append_stats.preagg_fold_invalidations, 0u);
 
   // The warm entry is present (peekable without computing) on the
   // patched store's published snapshot.

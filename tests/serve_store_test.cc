@@ -160,6 +160,49 @@ TEST(MoStoreTest, MutationForksAndPeriodicallyFlattensTheRegistry) {
   EXPECT_GE(stats.registry_flattens, 1u);
 }
 
+TEST(MoStoreTest, AppendBatchTimesEveryWritePhase) {
+  MoStore store;
+  ASSERT_TRUE(store.Publish("sales", BuildSales(60)).ok());
+  auto append = [&](int batch) {
+    return store.AppendBatch("sales", [batch](MdObject& draft) {
+      return ApplyBatch(draft, batch);
+    });
+  };
+  ASSERT_TRUE(append(0).ok());
+  const MoStore::WritePhases first = store.CollectStats().write_phases;
+  for (const MoStore::PhaseTime* phase :
+       {&first.registry_fork, &first.draft_clone, &first.apply,
+        &first.append_gate, &first.seal, &first.swap}) {
+    EXPECT_GT(phase->total_ms, 0.0);
+    EXPECT_EQ(phase->max_ms, phase->total_ms);  // one write so far
+  }
+  EXPECT_EQ(first.registry_flatten.total_ms, 0.0);
+
+  // Flatten time accrues on exactly the batches that collapse the chain.
+  for (int batch = 1; batch <= 10; ++batch) {
+    const MoStore::Stats before = store.CollectStats();
+    ASSERT_TRUE(append(batch).ok()) << "batch " << batch;
+    const MoStore::Stats after = store.CollectStats();
+    const MoStore::WritePhases& was = before.write_phases;
+    const MoStore::WritePhases& now = after.write_phases;
+    if (after.registry_flattens > before.registry_flattens) {
+      EXPECT_GT(now.registry_flatten.total_ms, was.registry_flatten.total_ms)
+          << "batch " << batch;
+      EXPECT_EQ(now.registry_fork.total_ms, was.registry_fork.total_ms)
+          << "batch " << batch;
+    } else {
+      EXPECT_EQ(now.registry_flatten.total_ms, was.registry_flatten.total_ms)
+          << "batch " << batch;
+      EXPECT_GT(now.registry_fork.total_ms, was.registry_fork.total_ms)
+          << "batch " << batch;
+    }
+    EXPECT_GT(now.seal.total_ms, was.seal.total_ms) << "batch " << batch;
+    EXPECT_GE(now.seal.max_ms, was.seal.max_ms) << "batch " << batch;
+  }
+  EXPECT_EQ(store.CollectStats().registry_flattens, 1u);
+  EXPECT_EQ(store.CollectStats().append_batches, 11u);
+}
+
 TEST(MoStoreTest, RetiredEpochsAreReclaimedWhenUnpinned) {
   MoStore store;
   ASSERT_TRUE(store.Publish("sales", BuildSales(60)).ok());
